@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("right")
 
     p_sum = sub.add_parser("sum", help="exact truncated sum of an index or R-args")
-    p_sum.add_argument("--kind", choices=("plain", "flat", "natural", "r"), default="plain")
+    p_sum.add_argument("--kind", choices=(*fs.VARIANTS, "r"), default="plain")
     p_sum.add_argument("target", help="index like '1,2', or 'a1,..;b1,..' for --kind r")
     p_sum.add_argument("--n", type=int, required=True, dest="n_value")
 
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-schedule", type=str, default=None, help="'a:b' doubling schedule")
     p_verify.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--workers", type=int, default=None)
     p_verify.add_argument("--out", type=str, default=None, help="directory for report files")
     p_verify.add_argument("--format", choices=("json", "csv"), default=None)
 
@@ -108,8 +107,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         overrides["edsr_tol"] = args.tol
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.format is not None:
@@ -131,9 +128,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     if args.kind == "r":
         value = fs.r_value(fs.RArgs.parse(args.target), args.n_value)
     else:
-        k = Index.parse(args.target)
-        evaluator = {"plain": fs.zeta_lt, "flat": fs.zeta_flat, "natural": fs.zeta_natural}[args.kind]
-        value = evaluator(k, args.n_value)
+        value = fs.evaluate_chain(fs.VARIANTS[args.kind](Index.parse(args.target)), args.n_value)
     print(f"{value.numerator}/{value.denominator}")
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .algebra import Index, LinComb, index_of_word, jset
 from .errors import CapExceededError, DomainError
@@ -168,20 +168,30 @@ def r_value(args: RArgs, N: int) -> Fraction:
     return evaluate_chain(ConstraintChain.from_rargs(args), N)
 
 
-_VARIANTS = {"plain": zeta_lt, "flat": zeta_flat, "natural": zeta_natural}
+# the chain of each index variant, shared by the exact and the float evaluators
+VARIANTS: dict[str, Callable[[Index], ConstraintChain]] = {
+    "plain": ConstraintChain.plain,
+    "flat": ConstraintChain.flat,
+    "natural": ConstraintChain.natural,
+}
+
+
+def variant_chain(variant: str) -> Callable[[Index], ConstraintChain]:
+    """The chain constructor of a variant name; unknown names raise DomainError."""
+    try:
+        return VARIANTS[variant]
+    except KeyError:
+        raise DomainError(f"variant must be one of {sorted(VARIANTS)}, got {variant!r}") from None
 
 
 def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     """Linear extension of the chosen evaluator to H1 combinations."""
-    try:
-        evaluator = _VARIANTS[variant]
-    except KeyError:
-        raise DomainError(f"variant must be one of {sorted(_VARIANTS)}, got {variant!r}") from None
+    chain_of = variant_chain(variant)
     if not x.in_h1:
         raise DomainError("zn_apply requires support in H1")
     total = Fraction(0)
     for w, c in x.items():
-        total += c * evaluator(index_of_word(w), N)
+        total += c * evaluate_chain(chain_of(index_of_word(w)), N)
     return total
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import euler_maclaurin as em
 from .algebra import Index, LinComb, Word, as_index, index_of_word
 from .errors import DomainError
-from .finite_sums import ConstraintChain, RArgs
+from .finite_sums import ConstraintChain, RArgs, variant_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -182,17 +182,11 @@ def r_value_f(args: RArgs, N: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _word_value_f(w: Word, N: int, variant: str) -> float:
-    k = index_of_word(w)
-    if variant == "plain":
-        return zeta_lt_f(k, N)
-    if variant == "flat":
-        return zeta_flat_f(k, N)
-    if variant == "natural":
-        return zeta_natural_f(k, N)
-    raise DomainError(f"unknown variant {variant!r}")
+    return chain_value_f(variant_chain(variant)(index_of_word(w)), N)
 
 
 def zn_apply_f(x: LinComb, N: int, variant: str = "plain") -> float:
+    variant_chain(variant)  # an unknown variant raises even when x has no terms
     if not x.in_h1:
         raise DomainError("zn_apply requires support in H1")
     return sum(float(c) * _word_value_f(w, N, variant) for w, c in x.items())

@@ -15,7 +15,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -57,7 +56,6 @@ class CampaignConfig:
     rate_slack: float = 1.25
     noise_floor: float = 1e-10
     seed: int = 20240801
-    workers: int = 1
     out_dir: str | None = None
     out_format: str = "json"
 
@@ -69,8 +67,6 @@ class CampaignConfig:
         for name in ("edsr_tol", "mzv_tol", "li_tol", "rate_slack", "noise_floor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.out_format not in ("json", "csv"):
             raise ValueError("out_format must be 'json' or 'csv'")
         if min(self.max_weight, self.msw_max_weight, self.harmonic_weight) < 0:
@@ -92,7 +88,6 @@ class CampaignConfig:
             "rateSlack": self.rate_slack,
             "noiseFloor": self.noise_floor,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
@@ -141,25 +136,50 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _finish(claim_id: str, parameters: dict, cases: Iterable[Case], started: float) -> Report:
-    cases = tuple(sorted(cases, key=lambda c: c.key))
-    verdict = "pass" if all(c.passed for c in cases) else "fail"
-    return Report(claim_id, parameters, cases, verdict, (time.perf_counter() - started) * 1000.0)
-
-
 def _map_cases(cfg: CampaignConfig, func: Callable, items: Sequence) -> list:
-    if cfg.workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(func, items))
+    # cfg is unused, but perfbench/child.py swaps in a timing wrapper with this signature
+    return [func(item) for item in items]
+
+
+def _report(
+    cfg: CampaignConfig,
+    claim_id: str,
+    params: dict,
+    check: Callable[..., Case],
+    items: Sequence,
+    extra: Callable[[], list[Case]] = list,
+) -> Report:
+    """Check every item, append the ``extra()`` sentinel cases, and time the claim."""
+    started = time.perf_counter()
+    cases = tuple(sorted(_map_cases(cfg, check, items) + extra(), key=lambda c: c.key))
+    verdict = "pass" if all(c.passed for c in cases) else "fail"
+    return Report(claim_id, params, cases, verdict, (time.perf_counter() - started) * 1000.0)
+
+
+def _rate_case(
+    cfg: CampaignConfig,
+    key: str,
+    inputs: dict,
+    residuals: Iterable[tuple[int, float]],
+    a_max: int,
+    *,
+    floor: float | None = None,
+    passed: bool = True,
+    **detail,
+) -> Case:
+    """Fit the O(N^-1 log^a N) rate of residuals, counting those below the noise floor as 0."""
+    floor = cfg.noise_floor if floor is None else floor
+    clamped = [(n, 0.0 if abs(r) < floor else abs(r)) for n, r in residuals]
+    fit = num.fit_log_rate(clamped, a_max=a_max, slack=cfg.rate_slack)
+    return Case(key, inputs, passed and fit.ok, {"fit": fit.to_dict(), **detail})
+
+
+def _rate_params(cfg: CampaignConfig) -> dict:
+    return {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
 
 
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def _clamped(residuals: Sequence[tuple[int, float]], floor: float) -> list[tuple[int, float]]:
-    return [(n, 0.0 if abs(r) < floor else abs(r)) for n, r in residuals]
 
 
 def _random_index(rng: random.Random, max_weight: int) -> Index:
@@ -179,7 +199,6 @@ def _random_index(rng: random.Random, max_weight: int) -> Index:
 
 def verify_msw(cfg: CampaignConfig) -> list[Report]:
     """Exact equality of the plain and discretized truncated sums."""
-    started = time.perf_counter()
     if cfg.msw_max_weight > 8:
         raise DomainError("cost guard: the exact sweep is limited to weight <= 8")
     n_values = [n for n in cfg.n_schedule if n <= cfg.msw_n_cap]
@@ -200,17 +219,15 @@ def verify_msw(cfg: CampaignConfig) -> list[Report]:
         )
 
     params = {"maxWeight": cfg.msw_max_weight, "nValues": n_values, "indexCount": len(indices)}
-    return [_finish("thm-msw", params, _map_cases(cfg, check, items), started)]
+    return [_report(cfg, "thm-msw", params, check, items)]
 
 
 def verify_harmonic(cfg: CampaignConfig) -> list[Report]:
     """Exact multiplicativity of the truncated evaluation under the harmonic product."""
-    started = time.perf_counter()
     rng = random.Random(cfg.seed)
     pairs = [(Index(()), Index((2,))), (Index((2,)), Index((2,)))]
     while len(pairs) < cfg.harmonic_pairs:
         pairs.append((_random_index(rng, cfg.harmonic_weight), _random_index(rng, cfg.harmonic_weight)))
-    items = list(enumerate(pairs))
 
     def check(item: tuple[int, tuple[Index, Index]]) -> Case:
         i, (k1, k2) = item
@@ -226,28 +243,18 @@ def verify_harmonic(cfg: CampaignConfig) -> list[Report]:
         )
 
     params = {"pairs": len(pairs), "pairWeight": cfg.harmonic_weight, "N": cfg.harmonic_n, "seed": cfg.seed}
-    return [_finish("fact-harmonic-product", params, _map_cases(cfg, check, items), started)]
+    return [_report(cfg, "fact-harmonic-product", params, check, list(enumerate(pairs)))]
 
 
 def verify_flat_natural(cfg: CampaignConfig) -> list[Report]:
     """Flat and fully-strict discretized sums differ by O(N^-1 log^a N)."""
-    started = time.perf_counter()
-    indices = indices_up_to_weight(cfg.max_weight)
 
     def check(k: Index) -> Case:
         residuals = [(n, num.zeta_flat_f(k, n) - num.zeta_natural_f(k, n)) for n in cfg.n_schedule]
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=k.weight + 1, slack=cfg.rate_slack
-        )
-        return Case(
-            key=f"k=({k})",
-            inputs={"index": str(k)},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict()},
-        )
+        return _rate_case(cfg, f"k=({k})", {"index": str(k)}, residuals, k.weight + 1)
 
-    params = {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
-    return [_finish("prop-flat-natural", params, _map_cases(cfg, check, indices), started)]
+    indices = indices_up_to_weight(cfg.max_weight)
+    return [_report(cfg, "prop-flat-natural", _rate_params(cfg), check, indices)]
 
 
 _LEMMA_R_GENERAL = ("1;0", "1;1", "2;2", "1,1;0,0", "2,1;0,0", "1,2;0,0")
@@ -258,89 +265,52 @@ _LEMMA_R_CROSS = ("2,0;0,1", "3,0;0,1", "2,2,0;0,0,1")  # a_i >= 2 before some b
 def verify_lemma_r(cfg: CampaignConfig) -> list[Report]:
     """Boundedness of the R sums: log^k growth in general, N^-1 log^k decay
     under either sufficient condition, plus the two limit sentinels."""
-    started = time.perf_counter()
-    reports = []
 
-    def growth_case(text: str) -> Case:
+    def growth(text: str) -> Case:
         args = fs.RArgs.parse(text)
-        values = [(n, num.r_value_f(args, n)) for n in cfg.n_schedule]
         # feeding R/N lets the N-normalized fitter bound R / log^a N itself
-        fit = num.fit_log_rate(
-            _clamped([(n, v / n) for n, v in values], cfg.noise_floor / max(cfg.n_schedule)),
-            a_max=args.depth,
-            slack=cfg.rate_slack,
-        )
-        return Case(
-            key=f"R=({text})",
-            inputs={"rargs": text},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict()},
-        )
+        values = [(n, num.r_value_f(args, n) / n) for n in cfg.n_schedule]
+        floor = cfg.noise_floor / max(cfg.n_schedule)
+        return _rate_case(cfg, f"R=({text})", {"rargs": text}, values, args.depth, floor=floor)
 
-    def decay_case(text: str) -> Case:
+    def decay(text: str) -> Case:
         args = fs.RArgs.parse(text)
         residuals = [(n, num.r_value_f(args, n)) for n in cfg.n_schedule]
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=args.depth + 1, slack=cfg.rate_slack
-        )
-        return Case(
-            key=f"R=({text})",
-            inputs={"rargs": text},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict()},
-        )
+        return _rate_case(cfg, f"R=({text})", {"rargs": text}, residuals, args.depth + 1)
 
-    general_cases = _map_cases(cfg, growth_case, _LEMMA_R_GENERAL)
-
-    # sentinel: R(2,1;0,0) converges to the weight-3 nested zeta value
-    sentinel_n = 10 ** 5
-    limit = num.mzv(Index((1, 2)), cfg.mzv_tol)
-    approached = num.r_value_f(fs.RArgs.parse("2,1;0,0"), sentinel_n)
-    gap = abs(approached - limit.value)
-    general_cases.append(
-        Case(
-            key="sentinel-limit-(2,1;0,0)",
-            inputs={"rargs": "2,1;0,0", "N": sentinel_n},
-            passed=gap + limit.error_bound < 0.01,
-            detail={"value": approached, "limit": limit.value, "gap": gap, "tol": 0.01},
-        )
-    )
-
-    # sentinel: R(1,2;0,0) grows without bound (strictly increasing schedule)
-    divergent = [num.r_value_f(fs.RArgs.parse("1,2;0,0"), n) for n in cfg.n_schedule]
-    increasing = all(b > a for a, b in zip(divergent, divergent[1:]))
-    general_cases.append(
-        Case(
-            key="sentinel-divergence-(1,2;0,0)",
-            inputs={"rargs": "1,2;0,0", "schedule": list(cfg.n_schedule)},
-            passed=increasing,
-            detail={"values": divergent, "strictlyIncreasing": increasing},
-        )
-    )
+    def sentinels() -> list[Case]:
+        # R(2,1;0,0) converges to the weight-3 nested zeta value
+        sentinel_n = 10 ** 5
+        limit = num.mzv(Index((1, 2)), cfg.mzv_tol)
+        approached = num.r_value_f(fs.RArgs.parse("2,1;0,0"), sentinel_n)
+        gap = abs(approached - limit.value)
+        # R(1,2;0,0) grows without bound (strictly increasing schedule)
+        divergent = [num.r_value_f(fs.RArgs.parse("1,2;0,0"), n) for n in cfg.n_schedule]
+        increasing = all(b > a for a, b in zip(divergent, divergent[1:]))
+        return [
+            Case(
+                key="sentinel-limit-(2,1;0,0)",
+                inputs={"rargs": "2,1;0,0", "N": sentinel_n},
+                passed=gap + limit.error_bound < 0.01,
+                detail={"value": approached, "limit": limit.value, "gap": gap, "tol": 0.01},
+            ),
+            Case(
+                key="sentinel-divergence-(1,2;0,0)",
+                inputs={"rargs": "1,2;0,0", "schedule": list(cfg.n_schedule)},
+                passed=increasing,
+                detail={"values": divergent, "strictlyIncreasing": increasing},
+            ),
+        ]
 
     params = {"schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
-    reports.append(_finish("lemma-R-i", {**params, "cases": list(_LEMMA_R_GENERAL)}, general_cases, started))
-
-    started_ii = time.perf_counter()
-    reports.append(
-        _finish(
-            "lemma-R-ii",
-            {**params, "cases": list(_LEMMA_R_DECAY)},
-            _map_cases(cfg, decay_case, _LEMMA_R_DECAY),
-            started_ii,
+    return [
+        _report(cfg, claim_id, {**params, "cases": list(texts)}, check, texts, extra)
+        for claim_id, texts, check, extra in (
+            ("lemma-R-i", _LEMMA_R_GENERAL, growth, sentinels),
+            ("lemma-R-ii", _LEMMA_R_DECAY, decay, list),
+            ("lemma-R-iii", _LEMMA_R_CROSS, decay, list),
         )
-    )
-
-    started_iii = time.perf_counter()
-    reports.append(
-        _finish(
-            "lemma-R-iii",
-            {**params, "cases": list(_LEMMA_R_CROSS)},
-            _map_cases(cfg, decay_case, _LEMMA_R_CROSS),
-            started_iii,
-        )
-    )
-    return reports
+    ]
 
 
 def _shuffle_pairs(cfg: CampaignConfig) -> list[tuple[Index, Index]]:
@@ -352,8 +322,6 @@ def _shuffle_pairs(cfg: CampaignConfig) -> list[tuple[Index, Index]]:
 def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
     """The strict-chain evaluation satisfies the shuffle product formula up to
     O(N^-1 log^a N), and exactly up to explicit diagonal terms at small N."""
-    started = time.perf_counter()
-    pairs = _shuffle_pairs(cfg)
 
     def check(pair: tuple[Index, Index]) -> Case:
         k, l = pair
@@ -364,41 +332,31 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
         for n in cfg.n_schedule:
             lhs = num.zn_apply_f(x, n, "natural") * num.zn_apply_f(y, n, "natural")
             residuals.append((n, lhs - num.zn_apply_f(sh, n, "natural")))
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=k.weight + l.weight + 1, slack=cfg.rate_slack
-        )
         n0 = cfg.shuffle_exact_n
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
         exact_rhs = fs.zn_apply(sh, n0, "natural")
         if k.parts and l.parts:
             exact_rhs += fs.diagonal_overlap_sum(k, l, n0)
         exact_ok = exact_lhs == exact_rhs
-        return Case(
-            key=f"w1=({k});w0=({l})",
-            inputs={"w1": str(k), "w0": str(l)},
-            passed=fit.ok and exact_ok,
-            detail={
-                "fit": fit.to_dict(),
-                "exactN": n0,
-                "exactDecomposition": exact_ok,
-                "exactLhs": _frac(exact_lhs),
-                "exactRhs": _frac(exact_rhs),
-            },
+        return _rate_case(
+            cfg,
+            f"w1=({k});w0=({l})",
+            {"w1": str(k), "w0": str(l)},
+            residuals,
+            k.weight + l.weight + 1,
+            passed=exact_ok,
+            exactN=n0,
+            exactDecomposition=exact_ok,
+            exactLhs=_frac(exact_lhs),
+            exactRhs=_frac(exact_rhs),
         )
 
-    params = {
-        "maxWeight": cfg.max_weight,
-        "schedule": list(cfg.n_schedule),
-        "slack": cfg.rate_slack,
-        "exactN": cfg.shuffle_exact_n,
-    }
-    return [_finish("prop-asymp-shuffle", params, _map_cases(cfg, check, pairs), started)]
+    params = {**_rate_params(cfg), "exactN": cfg.shuffle_exact_n}
+    return [_report(cfg, "prop-asymp-shuffle", params, check, _shuffle_pairs(cfg))]
 
 
 def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
     """The two products agree under the truncated evaluation up to O(N^-1 log^a N)."""
-    started = time.perf_counter()
-    pairs = _shuffle_pairs(cfg)
 
     def check(pair: tuple[Index, Index]) -> Case:
         k, l = pair
@@ -406,25 +364,15 @@ def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
             LinComb.of_index(k), LinComb.of_index(l)
         )
         residuals = [(n, num.zn_apply_f(diff, n, "plain")) for n in cfg.n_schedule]
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=k.weight + l.weight + 1, slack=cfg.rate_slack
-        )
-        return Case(
-            key=f"w1=({k});w0=({l})",
-            inputs={"w1": str(k), "w0": str(l)},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict(), "terms": len(diff)},
-        )
+        inputs = {"w1": str(k), "w0": str(l)}
+        return _rate_case(cfg, f"w1=({k});w0=({l})", inputs, residuals, k.weight + l.weight + 1, terms=len(diff))
 
-    params = {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
-    return [_finish("thm-main", params, _map_cases(cfg, check, pairs), started)]
+    return [_report(cfg, "thm-main", _rate_params(cfg), check, _shuffle_pairs(cfg))]
 
 
 def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
     """Truncated sums follow the harmonic regularized polynomial at log N + gamma."""
-    started = time.perf_counter()
     gamma = num.euler_gamma().value
-    indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
 
     def check(k: Index) -> Case:
         poly = reg.z_star_polynomial(k)
@@ -432,66 +380,47 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
         for n in cfg.n_schedule:
             predicted = num.eval_reg_polynomial(poly, math.log(n) + gamma, cfg.li_tol)
             residuals.append((n, num.zeta_lt_f(k, n) - predicted.value))
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=k.weight + 1, slack=cfg.rate_slack
-        )
-        return Case(
-            key=f"k=({k})",
-            inputs={"index": str(k)},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict(), "polynomialDegree": poly.degree},
+        return _rate_case(
+            cfg, f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree
         )
 
-    cases = _map_cases(cfg, check, indices)
+    def sentinel() -> list[Case]:
+        # H_{N-1} - log N - gamma stays below 1/N over six decades
+        n_values = [10 ** exponent for exponent in range(1, 7)]
+        residuals = [abs(num.harmonic_number_f(n - 1) - math.log(n) - gamma) for n in n_values]
+        return [
+            Case(
+                key="sentinel-harmonic-gamma",
+                inputs={"nValues": n_values},
+                passed=all(r < 1.0 / n for n, r in zip(n_values, residuals)),
+                detail={"residuals": [[n, r] for n, r in zip(n_values, residuals)], "bound": "1/N"},
+            )
+        ]
 
-    # sentinel: H_{N-1} - log N - gamma stays below 1/N over six decades
-    sentinel = []
-    for exponent in range(1, 7):
-        n = 10 ** exponent
-        residual = abs(num.harmonic_number_f(n - 1) - math.log(n) - gamma)
-        sentinel.append((n, residual, residual < 1.0 / n))
-    cases.append(
-        Case(
-            key="sentinel-harmonic-gamma",
-            inputs={"nValues": [n for n, _, _ in sentinel]},
-            passed=all(ok for _, _, ok in sentinel),
-            detail={"residuals": [[n, r] for n, r, _ in sentinel], "bound": "1/N"},
-        )
-    )
-
-    params = {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
-    return [_finish("prop-asymp-H", params, cases, started)]
+    indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
+    return [_report(cfg, "prop-asymp-H", _rate_params(cfg), check, indices, sentinel)]
 
 
 def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     """Polylogarithms follow the shuffle regularized polynomial at -log(1-z)."""
-    started = time.perf_counter()
     exponents = [e for e in range(2, 31) if (1 << e) in cfg.n_schedule]
     if len(exponents) < 5:
         raise DomainError("the schedule must contain at least five powers of two for the z grid")
-    indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
 
     def check(k: Index) -> Case:
         poly = reg.z_shuffle_polynomial(k)
         residuals = []
         for e in exponents:
             z = 1.0 - 0.5 ** e
-            t = -math.log1p(-z)
-            predicted = num.eval_reg_polynomial(poly, t, cfg.li_tol)
+            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), cfg.li_tol)
             observed = num.li_value(k, z, cfg.li_tol)
             residuals.append((1 << e, observed.value - predicted.value))
-        fit = num.fit_log_rate(
-            _clamped(residuals, cfg.noise_floor), a_max=k.weight + 1, slack=cfg.rate_slack
-        )
-        return Case(
-            key=f"k=({k})",
-            inputs={"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]},
-            passed=fit.ok,
-            detail={"fit": fit.to_dict(), "polynomialDegree": poly.degree},
-        )
+        inputs = {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
+        return _rate_case(cfg, f"k=({k})", inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
     params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": cfg.rate_slack}
-    return [_finish("prop-asymp-Li", params, _map_cases(cfg, check, indices), started)]
+    indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
+    return [_report(cfg, "prop-asymp-Li", params, check, indices)]
 
 
 def _z_value(x: LinComb, tol: float) -> tuple[float, float]:
@@ -506,13 +435,12 @@ def _z_value(x: LinComb, tol: float) -> tuple[float, float]:
 
 def verify_edsr(cfg: CampaignConfig) -> list[Report]:
     """Both regularizations annihilate the product defect numerically."""
-    started = time.perf_counter()
     lefts = indices_up_to_weight(cfg.max_weight, include_empty=True)
     rights = admissible_indices_up_to(cfg.max_weight, include_empty=True)
     pairs = [(k, l) for k in lefts for l in rights]
 
-    def check(pair: tuple[Index, Index, str]) -> Case:
-        k, l, which = pair
+    def check(item: tuple[Index, Index, str]) -> Case:
+        k, l, which = item
         diff = harmonic(LinComb.of_index(k), LinComb.of_index(l)) - shuffle(
             LinComb.of_index(k), LinComb.of_index(l)
         )
@@ -527,12 +455,10 @@ def verify_edsr(cfg: CampaignConfig) -> list[Report]:
         )
 
     params = {"maxWeight": cfg.max_weight, "tol": cfg.edsr_tol, "mzvTol": cfg.mzv_tol}
-    star_cases = _map_cases(cfg, check, [(k, l, "star") for k, l in pairs])
-    star_report = _finish("thm-edsr-star", params, star_cases, started)
-    started_sh = time.perf_counter()
-    sh_cases = _map_cases(cfg, check, [(k, l, "shuffle") for k, l in pairs])
-    sh_report = _finish("thm-edsr-sh", params, sh_cases, started_sh)
-    return [star_report, sh_report]
+    return [
+        _report(cfg, claim_id, params, check, [(k, l, which) for k, l in pairs])
+        for claim_id, which in (("thm-edsr-star", "star"), ("thm-edsr-sh", "shuffle"))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +530,23 @@ def write_summary(reports: Sequence[Report], cfg: CampaignConfig) -> Path | None
 
 
 def run_all(cfg: CampaignConfig, *, echo: Callable[[str], None] | None = None) -> tuple[list[Report], int]:
-    """Run every campaign, write reports, and return (reports, exit status)."""
+    """Run every campaign, write reports, and return (reports, exit status).
+
+    If a campaign raises, the reports of the campaigns before it are written
+    and ``summary.json`` is not.
+    """
     reports: list[Report] = []
-    for name, func, _ in CAMPAIGNS:
-        for report in func(cfg):
-            reports.append(report)
-            if echo is not None:
-                echo(
-                    f"{report.claim_id}: {report.verdict.upper()} "
-                    f"({len(report.cases)} cases, {report.elapsed_ms:.0f} ms)"
-                )
-    write_reports(reports, cfg)
+    try:
+        for _, func, _ in CAMPAIGNS:
+            for report in func(cfg):
+                reports.append(report)
+                if echo is not None:
+                    echo(
+                        f"{report.claim_id}: {report.verdict.upper()} "
+                        f"({len(report.cases)} cases, {report.elapsed_ms:.0f} ms)"
+                    )
+    finally:
+        write_reports(reports, cfg)
     write_summary(reports, cfg)
     if echo is not None:
         for claim, note in OUT_OF_SCOPE_CLAIMS.items():

@@ -20,6 +20,7 @@ from mzvkit.numeric import (
     zeta_flat_f,
     zeta_lt_f,
     zeta_natural_f,
+    zn_apply_f,
 )
 from mzvkit.regularization import RegPolynomial, z_star_polynomial
 
@@ -204,6 +205,12 @@ class TestFloatTwins:
         args = RArgs.parse("2,1;0,0")
         for n in (5, 12, 30):
             assert abs(r_value_f(args, n) - float(r_value(args, n))) < 1e-12
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(DomainError):
+            zn_apply_f(LinComb(), 5, "fancy")
+        with pytest.raises(DomainError):
+            zn_apply_f(LinComb.of_index(idx(2)), 5, "fancy")
 
     def test_real_type_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import mzvkit.numeric as num
 import mzvkit.verification as ver
 from mzvkit.algebra import Index, LinComb
-from mzvkit.errors import DomainError
+from mzvkit.errors import CapExceededError, DomainError
+from mzvkit.numeric import Real
 from mzvkit.verification import (
     CAMPAIGNS,
     CLAIM_IDS,
@@ -35,10 +38,6 @@ class TestConfig:
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignConfig(edsr_tol=0.0)
-
-    def test_workers_positive(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(workers=0)
 
 
 class TestCampaignsPass:
@@ -127,6 +126,32 @@ class TestSoundness:
     def test_sabotaged_tolerance_is_rejected(self):
         with pytest.raises(ValueError):
             CampaignConfig(edsr_tol=-1.0)
+
+    # lemma-R-i is left out: a constant offset does not break a log^a N growth bound
+    @pytest.mark.parametrize(
+        "campaign, evaluator, claims",
+        [
+            (verify_flat_natural, "zeta_natural_f", {"prop-flat-natural"}),
+            (verify_lemma_r, "r_value_f", {"lemma-R-ii", "lemma-R-iii"}),
+            (verify_asymp_shuffle, "zn_apply_f", {"prop-asymp-shuffle"}),
+            (verify_asymp_dsr, "zn_apply_f", {"thm-main"}),
+            (verify_asymp_h, "zeta_lt_f", {"prop-asymp-H"}),
+            (verify_asymp_li, "li_value", {"prop-asymp-Li"}),
+        ],
+    )
+    def test_offset_float_evaluator_fails_every_rate_case(self, monkeypatch, campaign, evaluator, claims):
+        original = getattr(num, evaluator)
+
+        def offset(*args, **kwargs):
+            value = original(*args, **kwargs)
+            return Real(value.value + 1.0, value.error_bound) if isinstance(value, Real) else value + 1.0
+
+        monkeypatch.setattr(num, evaluator, offset)
+        reports = [r for r in campaign(FAST) if r.claim_id in claims]
+        assert {r.claim_id for r in reports} == claims
+        for report in reports:
+            rate_cases = [c for c in report.cases if "fit" in c.detail]
+            assert rate_cases and not any(c.passed for c in rate_cases), report.claim_id
 
 
 class TestCatalog:
@@ -217,7 +242,16 @@ class TestReports:
         run_all(cfg)
         assert (tmp_path / "thm-msw.csv").exists()
 
-    def test_workers_do_not_change_results(self):
-        serial = verify_asymp_dsr(FAST)[0]
-        threaded = verify_asymp_dsr(CampaignConfig(max_weight=2, workers=4))[0]
-        assert serial.to_json() == threaded.to_json()
+    def test_raising_campaign_keeps_finished_reports(self, tmp_path, monkeypatch):
+        def raising(cfg):
+            raise CapExceededError("made to raise")
+
+        campaigns = list(CAMPAIGNS)
+        name, _, claims = campaigns[2]
+        campaigns[2] = (name, raising, claims)
+        monkeypatch.setattr(ver, "CAMPAIGNS", tuple(campaigns))
+        with pytest.raises(CapExceededError):
+            run_all(replace(FAST, out_dir=str(tmp_path)))
+        finished = {claim for _, _, done in campaigns[:2] for claim in done}
+        assert {p.stem for p in tmp_path.iterdir()} == finished
+        assert not (tmp_path / "summary.json").exists()
