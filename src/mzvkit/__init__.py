@@ -30,6 +30,7 @@ from .finite_sums import (
     boundary_overlap_sum,
     brute_force,
     diagonal_overlap_sum,
+    diagonal_terms,
     evaluate_chain,
     r_value,
     zeta_flat,
@@ -82,6 +83,7 @@ __all__ = [
     "boundary_overlap_sum",
     "brute_force",
     "diagonal_overlap_sum",
+    "diagonal_terms",
     "euler_gamma",
     "eval_reg_polynomial",
     "evaluate_chain",

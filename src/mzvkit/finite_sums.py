@@ -4,8 +4,10 @@ Four families share one dynamic program over a chain of constrained summation
 variables n_1, ..., n_k in (0, N): per position the relation to the previous
 variable is strict or non-strict, and the summand factor is
 1 / ((N - n)^a * n^b).  Prefix sums give O(k * N) rational operations instead
-of the naive O(N^k) enumeration; the naive enumeration is kept as the
-independent brute-force oracle, capped for safety.
+of the naive O(N^k) enumeration.  The diagonal terms of a product of two
+strict-chain sums come from a second prefix-sum DP over the merge grid of
+their steps.  The naive enumeration of chain tuples is kept as the
+independent brute-force oracle of both, capped for safety.
 
 Everything in this module is exact ``fractions.Fraction`` arithmetic.
 Floating twins for large N live in :mod:`mzvkit.numeric`.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterator, Union
 
 from .algebra import Index, LinComb, index_of_word, jset
 from .errors import CapExceededError, DomainError
@@ -195,6 +197,46 @@ def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     return total
 
 
+def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
+    """Exact sum of the diagonal terms of the natural-chain product at N.
+
+    The product of the natural-chain sums of ``k`` and ``l`` is the sum over
+    the quasi-shuffles of their step sequences: a merge path through the grid
+    of the two sequences takes a step of either one or ties the next step of
+    both into one step with added exponents.  The diagonal terms are the paths
+    with at least one tie.  The DP runs over the states (i, j, tied), each
+    holding its merged chains summed by their last value, so it takes
+    O(wt(k) * wt(l) * N) rational operations at any weight.
+    """
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    left = ConstraintChain.natural(k).steps
+    right = ConstraintChain.natural(l).steps
+    # ending[n]: merged chains over left[:i], right[:j] whose last value is n; the empty chain ends at 0
+    grid = {(0, 0, False): [Fraction(1)] + [Fraction(0)] * (N - 1)}
+    for i in range(len(left) + 1):
+        for j in range(len(right) + 1):
+            for tied in (False, True):
+                ending = grid.get((i, j, tied))
+                if ending is None:
+                    continue
+                moves = []
+                if i < len(left):
+                    moves.append(((i + 1, j, tied), left[i]))
+                if j < len(right):
+                    moves.append(((i, j + 1, tied), right[j]))
+                if i < len(left) and j < len(right):
+                    merged = Step(True, left[i].a + right[j].a, left[i].b + right[j].b)
+                    moves.append(((i + 1, j + 1, True), merged))
+                below = list(itertools.accumulate(ending))  # below[n - 1]: chains ending before n
+                for state, step in moves:
+                    out = grid.setdefault(state, [Fraction(0)] * N)
+                    for n in range(1, N):
+                        out[n] += _weight(step, n, N) * below[n - 1]
+    final = grid.get((len(left), len(right), True))
+    return sum(final, Fraction(0)) if final else Fraction(0)
+
+
 BruteForceTarget = Union[Index, RArgs, ConstraintChain]
 
 
@@ -205,22 +247,20 @@ def _check_caps(N: int, weight: int, max_n: int, max_weight: int) -> None:
         )
 
 
-def _enumerate_chain(steps: Iterable[Step], N: int) -> Fraction:
-    steps = tuple(steps)
+def _chain_terms(chain: ConstraintChain, N: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Every tuple (n_1, ..., n_k) the chain admits below N, with its summand."""
+    steps = chain.steps
 
-    def rec(pos: int, prev: int, partial: Fraction) -> Fraction:
+    def rec(pos: int, prev: int, values: tuple[int, ...], term: Fraction):
         if pos == len(steps):
-            return partial
+            yield values, term
+            return
         step = steps[pos]
         lo = prev + 1 if step.strict else max(prev, 1)
-        total = Fraction(0)
         for n in range(lo, N):
-            total += rec(pos + 1, n, partial * _weight(step, n, N))
-        return total
+            yield from rec(pos + 1, n, values + (n,), term * _weight(step, n, N))
 
-    if not steps:
-        return Fraction(1)
-    return rec(0, 0, Fraction(1))
+    return rec(0, 0, (), Fraction(1))
 
 
 def brute_force(
@@ -241,23 +281,16 @@ def brute_force(
         raise DomainError("N must be a positive integer")
     if isinstance(target, ConstraintChain):
         _check_caps(N, target.length, max_n, max_weight)
-        return _enumerate_chain(target.steps, N)
-    if isinstance(target, RArgs):
+        chain = target
+    elif isinstance(target, RArgs):
         if N < 2:
             raise DomainError("R values require N >= 2")
         _check_caps(N, target.depth, max_n, max_weight)
-        total = Fraction(0)
-        for combo in itertools.combinations(range(1, N), target.depth):
-            term = Fraction(1)
-            for n, a, b in zip(combo, target.a, target.b):
-                term *= Fraction(1, (N - n) ** a * n ** b)
-            total += term
-        return total
-    if isinstance(target, Index):
+        chain = ConstraintChain.from_rargs(target)
+    elif isinstance(target, Index):
         _check_caps(N, target.weight, max_n, max_weight)
-        if not target.parts:
-            return Fraction(1)
         if kind == "plain":
+            # itertools enumeration, independent of the chain machinery
             total = Fraction(0)
             for combo in itertools.combinations(range(1, N), target.depth):
                 term = Fraction(1)
@@ -265,26 +298,10 @@ def brute_force(
                     term *= Fraction(1, n ** part)
                 total += term
             return total
-        if kind in ("flat", "natural"):
-            strict_at = jset(target)
-            letters = [1 if i in strict_at else 0 for i in range(1, target.weight + 1)]
-
-            def weight_at(i: int, n: int) -> Fraction:
-                return Fraction(1, N - n) if letters[i] else Fraction(1, n)
-
-            def rec(i: int, prev: int, partial: Fraction) -> Fraction:
-                if i == len(letters):
-                    return partial
-                strict = (i + 1 in strict_at) or kind == "natural"
-                lo = prev + 1 if strict else max(prev, 1)
-                total = Fraction(0)
-                for n in range(lo, N):
-                    total += rec(i + 1, n, partial * weight_at(i, n))
-                return total
-
-            return rec(0, 0, Fraction(1))
-        raise DomainError(f"unknown brute-force kind {kind!r}")
-    raise DomainError(f"unsupported brute-force target {target!r}")
+        chain = variant_chain(kind)(target)
+    else:
+        raise DomainError(f"unsupported brute-force target {target!r}")
+    return sum((term for _, term in _chain_terms(chain, N)), Fraction(0))
 
 
 def boundary_overlap_sum(
@@ -299,23 +316,10 @@ def boundary_overlap_sum(
     if not k.parts:
         return Fraction(0)
     _check_caps(N, k.weight, max_n, max_weight)
-    strict_at = jset(k)
-    letters = [1 if i in strict_at else 0 for i in range(1, k.weight + 1)]
     total = Fraction(0)
-
-    def rec(i: int, prev: int, partial: Fraction, has_tie: bool) -> None:
-        nonlocal total
-        if i == len(letters):
-            if has_tie:
-                total += partial
-            return
-        strict = i + 1 in strict_at
-        lo = prev + 1 if strict else max(prev, 1)
-        for n in range(lo, N):
-            w = Fraction(1, N - n) if letters[i] else Fraction(1, n)
-            rec(i + 1, n, partial * w, has_tie or (i > 0 and n == prev))
-
-    rec(0, 0, Fraction(1), False)
+    for values, term in _chain_terms(ConstraintChain.flat(k), N):
+        if len(set(values)) < len(values):  # a non-decreasing tuple with a repeat
+            total += term
     return total
 
 
@@ -330,29 +334,17 @@ def diagonal_overlap_sum(
     """Brute-force sum over pairs of strict chains sharing at least one value.
 
     These are the diagonal terms that separate the product of two strict-chain
-    sums from the strict-chain sum of the shuffled word.
+    sums from the strict-chain sum of the shuffled word; the capped oracle of
+    :func:`diagonal_terms`.
     """
     if not k.parts or not l.parts:
         return Fraction(0)
     _check_caps(N, k.weight + l.weight, max_n, max_weight)
-
-    def chain_terms(idx: Index) -> list[tuple[tuple[int, ...], Fraction]]:
-        strict_at = jset(idx)
-        letters = [1 if i in strict_at else 0 for i in range(1, idx.weight + 1)]
-        out = []
-        for combo in itertools.combinations(range(1, N), idx.weight):
-            term = Fraction(1)
-            for i, n in enumerate(combo):
-                term *= Fraction(1, N - n) if letters[i] else Fraction(1, n)
-            out.append((combo, term))
-        return out
-
+    right = list(_chain_terms(ConstraintChain.natural(l), N))
     total = Fraction(0)
-    left = chain_terms(k)
-    right = chain_terms(l)
-    for combo_k, term_k in left:
-        set_k = set(combo_k)
-        for combo_l, term_l in right:
-            if set_k.intersection(combo_l):
+    for values_k, term_k in _chain_terms(ConstraintChain.natural(k), N):
+        shared = set(values_k)
+        for values_l, term_l in right:
+            if shared.intersection(values_l):
                 total += term_k * term_l
     return total

@@ -334,9 +334,7 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
             residuals.append((n, lhs - num.zn_apply_f(sh, n, "natural")))
         n0 = cfg.shuffle_exact_n
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
-        exact_rhs = fs.zn_apply(sh, n0, "natural")
-        if k.parts and l.parts:
-            exact_rhs += fs.diagonal_overlap_sum(k, l, n0)
+        exact_rhs = fs.zn_apply(sh, n0, "natural") + fs.diagonal_terms(k, l, n0)
         exact_ok = exact_lhs == exact_rhs
         return _rate_case(
             cfg,

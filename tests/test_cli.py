@@ -89,6 +89,10 @@ class TestCommands:
         assert main(["verify", "thm-edsr-star", "--tol", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_verify_asymp_shuffle_past_the_brute_force_cap(self, capsys):
+        assert main(["verify", "prop-asymp-shuffle", "--max-weight", "4", "--n-schedule", "16:256"]) == 0
+        assert "prop-asymp-shuffle: PASS" in capsys.readouterr().out
+
     def test_verify_unknown_claim(self, capsys):
         assert main(["verify", "thm-nonsense"]) == 2
 

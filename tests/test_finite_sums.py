@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzvkit.algebra import Index, LinComb, Word, harmonic, indices_up_to_weight
+from mzvkit.algebra import Index, LinComb, Word, harmonic, indices_up_to_weight, shuffle
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import (
     ConstraintChain,
@@ -13,6 +13,7 @@ from mzvkit.finite_sums import (
     boundary_overlap_sum,
     brute_force,
     diagonal_overlap_sum,
+    diagonal_terms,
     evaluate_chain,
     r_value,
     zeta_flat,
@@ -20,7 +21,7 @@ from mzvkit.finite_sums import (
     zeta_natural,
     zn_apply,
 )
-from mzvkit.algebra import shuffle
+from mzvkit.verification import CampaignConfig, _shuffle_pairs
 
 
 def idx(*parts):
@@ -193,6 +194,10 @@ class TestBruteForceOracle:
         # explicit caps can widen the window
         assert brute_force(idx(2), 45, max_n=50) == zeta_lt(idx(2), 45)
 
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            brute_force(idx(2), 5, kind="fancy")
+
 
 class TestShuffleDecompositionAtFiniteN:
     def test_diagonal_terms_close_the_gap(self):
@@ -201,12 +206,20 @@ class TestShuffleDecompositionAtFiniteN:
             (idx(2), idx(2), 12),
             (idx(1, 1), idx(3), 10),
             (idx(2), idx(1, 2), 9),
+            (idx(2, 2), idx(1, 3), 10),  # weight 8, past the brute-force cap
         ]
         for k, l, n in cases:
             x, y = LinComb.of_index(k), LinComb.of_index(l)
             lhs = zn_apply(x, n, "natural") * zn_apply(y, n, "natural")
-            rhs = zn_apply(shuffle(x, y), n, "natural") + diagonal_overlap_sum(k, l, n)
+            rhs = zn_apply(shuffle(x, y), n, "natural") + diagonal_terms(k, l, n)
             assert lhs == rhs, (k, l, n)
+        with pytest.raises(CapExceededError):
+            diagonal_overlap_sum(idx(2, 2), idx(1, 3), 10)
+
+    def test_dp_equals_brute_force_on_default_pairs(self):
+        for k, l in _shuffle_pairs(CampaignConfig()):
+            for n in (2, 3, 5, 10):
+                assert diagonal_terms(k, l, n) == diagonal_overlap_sum(k, l, n), (k, l, n)
 
 
 class TestChainValidation:

@@ -123,6 +123,38 @@ class TestSoundness:
         (report,) = verify_harmonic(FAST)
         assert not report.passed
 
+    @staticmethod
+    def _decomposition_cases(report):
+        return [c for c in report.cases if c.inputs["w1"] and c.inputs["w0"]]
+
+    def test_perturbed_diagonal_terms_fail_asymp_shuffle(self, monkeypatch):
+        original = ver.fs.diagonal_terms
+        monkeypatch.setattr(ver.fs, "diagonal_terms", lambda k, l, n: original(k, l, n) + Fraction(1, 10**9))
+        (report,) = verify_asymp_shuffle(FAST)
+        cases = self._decomposition_cases(report)
+        assert cases and not any(c.passed or c.detail["exactDecomposition"] for c in cases)
+
+    def test_dropped_shuffle_term_fails_asymp_shuffle(self, monkeypatch):
+        original = ver.shuffle
+
+        def dropped(x, y):
+            result = original(x, y)
+            return LinComb(result.items()[1:]) if len(result) >= 2 else result
+
+        monkeypatch.setattr(ver, "shuffle", dropped)
+        (report,) = verify_asymp_shuffle(FAST)
+        cases = self._decomposition_cases(report)
+        assert cases and not any(c.passed or c.detail["exactDecomposition"] for c in cases)
+
+    # fit_log_rate still accepts a small constant residual here (ROADMAP item 2)
+    @pytest.mark.xfail(strict=True, reason="a +1e-3 offset still passes prop-flat-natural k=(2)")
+    def test_small_offset_fails_flat_natural(self, monkeypatch):
+        original = num.zeta_natural_f
+        monkeypatch.setattr(num, "zeta_natural_f", lambda k, n: original(k, n) + 1e-3)
+        (report,) = verify_flat_natural(FAST)
+        (case,) = [c for c in report.cases if c.key == "k=(2)"]
+        assert not case.passed
+
     def test_sabotaged_tolerance_is_rejected(self):
         with pytest.raises(ValueError):
             CampaignConfig(edsr_tol=-1.0)
