@@ -3,19 +3,25 @@
 Four families share one dynamic program over a chain of constrained summation
 variables n_1, ..., n_k in (0, N): per position the relation to the previous
 variable is strict or non-strict, and the summand factor is
-1 / ((N - n)^a * n^b).  Prefix sums give O(k * N) rational operations instead
-of the naive O(N^k) enumeration.  The diagonal terms of a product of two
+1 / ((N - n)^a * n^b).  Prefix sums give O(k * N) operations instead of the
+naive O(N^k) enumeration.  The diagonal terms of a product of two
 strict-chain sums come from a second prefix-sum DP over the merge grid of
 their steps.  The naive enumeration of chain tuples is kept as the
 independent brute-force oracle of both, capped for safety.
 
-Everything in this module is exact ``fractions.Fraction`` arithmetic.
-Floating twins for large N live in :mod:`mzvkit.numeric`.
+Results are exact ``fractions.Fraction`` values.  Both DPs run on integers
+over one common denominator: with L = lcm(1..N-1), every summand factor
+divides L^(a+b), so each step multiplies by the integer L^(a+b) / ((N-n)^a n^b)
+and a DP value after steps of total exponent w is the numerator over L^w.
+The sum becomes a Fraction once, at the end, which saves a gcd per
+operation.  The brute-force oracle stays on Fractions, independent of this
+scaling.  Floating twins for large N live in :mod:`mzvkit.numeric`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Union
@@ -120,31 +126,35 @@ def _weight(step: Step, n: int, N: int) -> Fraction:
     return Fraction(1, (N - n) ** step.a * n ** step.b)
 
 
+def _scaled_weights(step: Step, N: int, lcm: int) -> list[int]:
+    """Entry n - 1 is lcm^(a+b) / ((N - n)^a * n^b), exact because every n < N divides lcm."""
+    scale = lcm ** (step.a + step.b)
+    return [scale // ((N - n) ** step.a * n ** step.b) for n in range(1, N)]
+
+
 def evaluate_chain(chain: ConstraintChain, N: int) -> Fraction:
-    """Exact chain sum over 0 < n_1 R n_2 R ... R n_k < N by prefix-sum DP."""
+    """Exact chain sum over 0 < n_1 R n_2 R ... R n_k < N by prefix-sum DP,
+    on integer numerators over powers of lcm(1..N-1)."""
     if N < 1:
         raise DomainError("N must be a positive integer")
     if not chain.steps:
         return Fraction(1)
-    if N == 1:
-        return Fraction(0)
-    values: list[Fraction] = []
-    for pos, step in enumerate(chain.steps):
-        if pos == 0:
-            values = [_weight(step, n, N) for n in range(1, N)]
-            continue
-        out: list[Fraction] = []
-        running = Fraction(0)
+    lcm = math.lcm(*range(1, N))
+    values = _scaled_weights(chain.steps[0], N, lcm)
+    for step in chain.steps[1:]:
+        weights = _scaled_weights(step, N, lcm)
+        out: list[int] = []
+        running = 0
         if step.strict:
-            for i, n in enumerate(range(1, N)):
-                out.append(_weight(step, n, N) * running)
-                running += values[i]
+            for value, weight in zip(values, weights):
+                out.append(weight * running)
+                running += value
         else:
-            for i, n in enumerate(range(1, N)):
-                running += values[i]
-                out.append(_weight(step, n, N) * running)
+            for value, weight in zip(values, weights):
+                running += value
+                out.append(weight * running)
         values = out
-    return sum(values, Fraction(0))
+    return Fraction(sum(values), lcm ** sum(s.a + s.b for s in chain.steps))
 
 
 def zeta_lt(k: Index, N: int) -> Fraction:
@@ -206,14 +216,17 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
     both into one step with added exponents.  The diagonal terms are the paths
     with at least one tie.  The DP runs over the states (i, j, tied), each
     holding its merged chains summed by their last value, so it takes
-    O(wt(k) * wt(l) * N) rational operations at any weight.
+    O(wt(k) * wt(l) * N) integer operations at any weight.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
     left = ConstraintChain.natural(k).steps
     right = ConstraintChain.natural(l).steps
+    # every state (i, j, tied) has the weight of left[:i] plus right[:j], so its
+    # values share the denominator lcm^weight; the grid holds the numerators
+    lcm = math.lcm(*range(1, N))
     # ending[n]: merged chains over left[:i], right[:j] whose last value is n; the empty chain ends at 0
-    grid = {(0, 0, False): [Fraction(1)] + [Fraction(0)] * (N - 1)}
+    grid = {(0, 0, False): [1] + [0] * (N - 1)}
     for i in range(len(left) + 1):
         for j in range(len(right) + 1):
             for tied in (False, True):
@@ -230,11 +243,11 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
                     moves.append(((i + 1, j + 1, True), merged))
                 below = list(itertools.accumulate(ending))  # below[n - 1]: chains ending before n
                 for state, step in moves:
-                    out = grid.setdefault(state, [Fraction(0)] * N)
-                    for n in range(1, N):
-                        out[n] += _weight(step, n, N) * below[n - 1]
+                    out = grid.setdefault(state, [0] * N)
+                    for n, weight in enumerate(_scaled_weights(step, N, lcm), 1):
+                        out[n] += weight * below[n - 1]
     final = grid.get((len(left), len(right), True))
-    return sum(final, Fraction(0)) if final else Fraction(0)
+    return Fraction(sum(final), lcm ** (k.weight + l.weight)) if final else Fraction(0)
 
 
 BruteForceTarget = Union[Index, RArgs, ConstraintChain]

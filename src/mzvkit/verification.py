@@ -332,7 +332,8 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
         for n in cfg.n_schedule:
             lhs = num.zn_apply_f(x, n, "natural") * num.zn_apply_f(y, n, "natural")
             residuals.append((n, lhs - num.zn_apply_f(sh, n, "natural")))
-        n0 = cfg.shuffle_exact_n
+        # a natural chain longer than N - 1 sums to 0, so keep N above the pair's weight
+        n0 = max(cfg.shuffle_exact_n, k.weight + l.weight + 1)
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
         exact_rhs = fs.zn_apply(sh, n0, "natural") + fs.diagonal_terms(k, l, n0)
         exact_ok = exact_lhs == exact_rhs

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -183,6 +184,12 @@ def test_criterion_9_regularization_algebra_exact():
     announce(9, "round-trip and homomorphism exact on 50 seeded elements", started)
 
 
+EXACT_REPORT_SHA256 = {
+    "thm-msw.json": "a252eefab40651501ac7afb7c3afb61aeb5c651a9ba65851374a8ae0ac71c899",
+    "fact-harmonic-product.json": "c07f336d42462e167decc520008ecbc12de4a61d3c6c5ed61e7cd25c695a9d5e",
+}
+
+
 def test_criterion_10_reports_are_deterministic(tmp_path):
     started = time.perf_counter()
     dirs = [tmp_path / "first", tmp_path / "second"]
@@ -194,4 +201,7 @@ def test_criterion_10_reports_are_deterministic(tmp_path):
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
-    announce(10, "verify all twice: byte-identical reports", started)
+    # the exact-only reports hold rationals alone, so their bytes are pinned across platforms
+    for name, digest in EXACT_REPORT_SHA256.items():
+        assert hashlib.sha256((dirs[0] / name).read_bytes()).hexdigest() == digest, name
+    announce(10, "verify all twice: byte-identical reports, exact ones as pinned", started)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzvkit.algebra import Index, LinComb, Word, harmonic, indices_up_to_weight, shuffle
@@ -186,6 +186,20 @@ class TestBruteForceOracle:
         chain = ConstraintChain((Step(True, 0, 2), Step(False, 1, 0)))
         assert brute_force(chain, 9) == evaluate_chain(chain, 9)
 
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)).filter(lambda s: s[1] + s[2] >= 1),
+            max_size=5,
+        ),
+        st.integers(1, 15),
+    )
+    @example([(True, 1, 0), (False, 0, 1)], 1)
+    @example([(True, 2, 1), (False, 0, 3), (True, 1, 1)], 2)
+    @settings(max_examples=60, deadline=None)
+    def test_dp_equals_brute_force_random_chains(self, steps, n):
+        chain = ConstraintChain(tuple(Step(pos == 0 or strict, a, b) for pos, (strict, a, b) in enumerate(steps)))
+        assert evaluate_chain(chain, n) == brute_force(chain, n)
+
     def test_caps_refuse(self):
         with pytest.raises(CapExceededError):
             brute_force(idx(2), 100)
@@ -220,6 +234,23 @@ class TestShuffleDecompositionAtFiniteN:
         for k, l in _shuffle_pairs(CampaignConfig()):
             for n in (2, 3, 5, 10):
                 assert diagonal_terms(k, l, n) == diagonal_overlap_sum(k, l, n), (k, l, n)
+
+    @given(
+        st.sampled_from(
+            [
+                (k, l)
+                for k in indices_up_to_weight(6, include_empty=True)
+                for l in indices_up_to_weight(6 - k.weight, include_empty=True)
+            ]
+        ),
+        st.integers(1, 12),
+    )
+    @example((idx(1), idx(2)), 1)
+    @example((idx(2, 1), idx(1, 2)), 2)
+    @settings(max_examples=60, deadline=None)
+    def test_dp_equals_brute_force_random_pairs(self, pair, n):
+        k, l = pair
+        assert diagonal_terms(k, l, n) == diagonal_overlap_sum(k, l, n)
 
 
 class TestChainValidation:

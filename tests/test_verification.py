@@ -134,7 +134,8 @@ class TestSoundness:
         cases = self._decomposition_cases(report)
         assert cases and not any(c.passed or c.detail["exactDecomposition"] for c in cases)
 
-    def test_dropped_shuffle_term_fails_asymp_shuffle(self, monkeypatch):
+    @staticmethod
+    def _drop_a_shuffle_term(monkeypatch):
         original = ver.shuffle
 
         def dropped(x, y):
@@ -142,9 +143,26 @@ class TestSoundness:
             return LinComb(result.items()[1:]) if len(result) >= 2 else result
 
         monkeypatch.setattr(ver, "shuffle", dropped)
+
+    def test_dropped_shuffle_term_fails_asymp_shuffle(self, monkeypatch):
+        self._drop_a_shuffle_term(monkeypatch)
         (report,) = verify_asymp_shuffle(FAST)
         cases = self._decomposition_cases(report)
         assert cases and not any(c.passed or c.detail["exactDecomposition"] for c in cases)
+
+    def test_dropped_shuffle_term_fails_asymp_shuffle_past_weight_ten(self, monkeypatch):
+        # at N = 10 every natural chain of weight >= 10 sums to 0, which hid the shuffle side
+        self._drop_a_shuffle_term(monkeypatch)
+        cfg = CampaignConfig(max_weight=5, n_schedule=(16, 32, 64, 128, 256))
+        (report,) = verify_asymp_shuffle(cfg)
+
+        def weight(case):
+            return Index.parse(case.inputs["w1"]).weight + Index.parse(case.inputs["w0"]).weight
+
+        heavy = [c for c in self._decomposition_cases(report) if weight(c) >= 10]
+        assert heavy and not any(c.passed or c.detail["exactDecomposition"] for c in heavy)
+        (case,) = [c for c in heavy if c.key == "w1=(1,1,1,1,1);w0=(1,1,1,2)"]
+        assert case.detail["exactN"] == 11
 
     # fit_log_rate still accepts a small constant residual here (ROADMAP item 2)
     @pytest.mark.xfail(strict=True, reason="a +1e-3 offset still passes prop-flat-natural k=(2)")
