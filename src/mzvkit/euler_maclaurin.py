@@ -1,5 +1,9 @@
 """Asymptotic expansion of truncated nested sums by recursive Euler-Maclaurin.
 
+This is the reference engine of the tests: :func:`mzvkit.numeric.mzv` uses the
+1/2-Hoelder convolution, and the tests check it against this independent
+computation.  Nothing else in the package imports this module.
+
 For an index (k_1, ..., k_r) the partial sums
 
     g_i(n) = sum over 0 < m_1 < ... < m_i < n of prod m_h^(-k_h),  i <= r,

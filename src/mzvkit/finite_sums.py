@@ -126,10 +126,23 @@ def _weight(step: Step, n: int, N: int) -> Fraction:
     return Fraction(1, (N - n) ** step.a * n ** step.b)
 
 
-def _scaled_weights(step: Step, N: int, lcm: int) -> list[int]:
-    """Entry n - 1 is lcm^(a+b) / ((N - n)^a * n^b), exact because every n < N divides lcm."""
-    scale = lcm ** (step.a + step.b)
-    return [scale // ((N - n) ** step.a * n ** step.b) for n in range(1, N)]
+def _weight_table(N: int, lcm: int) -> Callable[[Step], list[int]]:
+    """The scaled weights of a step at N, built once per exponent pair (a, b).
+
+    Entry n - 1 is lcm^(a+b) / ((N - n)^a * n^b), exact because every n < N
+    divides lcm.  A chain has few distinct pairs, so one table per DP call
+    replaces N big-integer divisions per step.
+    """
+    built: dict[tuple[int, int], list[int]] = {}
+
+    def weights(step: Step) -> list[int]:
+        key = (step.a, step.b)
+        if key not in built:
+            scale = lcm ** (step.a + step.b)
+            built[key] = [scale // ((N - n) ** step.a * n ** step.b) for n in range(1, N)]
+        return built[key]
+
+    return weights
 
 
 def evaluate_chain(chain: ConstraintChain, N: int) -> Fraction:
@@ -140,9 +153,10 @@ def evaluate_chain(chain: ConstraintChain, N: int) -> Fraction:
     if not chain.steps:
         return Fraction(1)
     lcm = math.lcm(*range(1, N))
-    values = _scaled_weights(chain.steps[0], N, lcm)
+    weights_of = _weight_table(N, lcm)
+    values = weights_of(chain.steps[0])
     for step in chain.steps[1:]:
-        weights = _scaled_weights(step, N, lcm)
+        weights = weights_of(step)
         out: list[int] = []
         running = 0
         if step.strict:
@@ -225,6 +239,7 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
     # every state (i, j, tied) has the weight of left[:i] plus right[:j], so its
     # values share the denominator lcm^weight; the grid holds the numerators
     lcm = math.lcm(*range(1, N))
+    weights_of = _weight_table(N, lcm)
     # ending[n]: merged chains over left[:i], right[:j] whose last value is n; the empty chain ends at 0
     grid = {(0, 0, False): [1] + [0] * (N - 1)}
     for i in range(len(left) + 1):
@@ -244,7 +259,7 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
                 below = list(itertools.accumulate(ending))  # below[n - 1]: chains ending before n
                 for state, step in moves:
                     out = grid.setdefault(state, [0] * N)
-                    for n, weight in enumerate(_scaled_weights(step, N, lcm), 1):
+                    for n, weight in enumerate(weights_of(step), 1):
                         out[n] += weight * below[n - 1]
     final = grid.get((len(left), len(right), True))
     return Fraction(sum(final), lcm ** (k.weight + l.weight)) if final else Fraction(0)

@@ -1,10 +1,12 @@
 """Floating evaluation: nested zeta limits, polylogarithms, rate fitting.
 
 Exact rational evaluation lives in :mod:`mzvkit.finite_sums`; this module
-holds everything floating: limits of nested sums via the Euler-Maclaurin
-engine, the nested polylogarithm power series, float twins of the chain DP
-for large N (where exact rationals are hopeless), and the log-rate fitter
-that turns O(N^-1 log^a N) claims into checkable statements.
+holds everything floating: MZV limits from the 1/2-Hoelder convolution (each
+MZV a finite sum of products of two nested polylogarithms at 1/2, in float64
+with a certified error bound, no extended precision), the nested
+polylogarithm power series, float twins of the chain DP for large N (where
+exact rationals are hopeless), and the log-rate fitter that turns
+O(N^-1 log^a N) claims into checkable statements.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import euler_maclaurin as em
-from .algebra import Index, LinComb, Word, as_index, index_of_word
+from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
 from .errors import DomainError
 from .finite_sums import ConstraintChain, RArgs, variant_chain
 
@@ -26,11 +27,17 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 MIN_TOL = 1e-12
 DEFAULT_MZV_TOL = 1e-7
 DEFAULT_LI_TOL = 1e-9
+HALF_POINT_TERMS = 64  # terms of each half-point series at tier 0
 
 
 @dataclass(frozen=True)
 class Real:
-    """A floating value with an absolute error estimate (not a certificate)."""
+    """A floating value with an absolute error bound.
+
+    From :func:`mzv` the bound is a certificate: a series tail bound plus a
+    bound on float64 rounding.  From :func:`li_value` it is a geometric tail
+    estimate plus a relative rounding allowance.
+    """
 
     value: float
     error_bound: float
@@ -47,16 +54,88 @@ class Real:
 
 
 @functools.lru_cache(maxsize=None)
+def _half_point(w: Word, terms: int) -> tuple[float, float]:
+    """L(w) and a certified bound: the iterated integral of w, read backwards, over 1/2 > t > 0.
+
+    For the index k of ``w`` this is the nested polylogarithm at 1/2,
+
+        L(w) = sum over 0 < m_1 < ... < m_r of 2^-m_r / prod m_i^k_i,
+
+    summed in float64 prefix sums over m_r <= ``terms``.  Every summand is
+    non-negative, so the rounding bound is relative to the value.
+    """
+    if w.is_empty:
+        return 1.0, 0.0
+    parts = index_of_word(w).parts
+    m = np.arange(1, terms + 1)
+    inner = np.ones(terms)  # inner[m - 1]: the sum over the variables below m
+    for k in parts[:-1]:
+        inner = np.concatenate(([0.0], np.cumsum(inner * _inverse_powers(k, terms))[:-1]))
+    value = float(np.sum(np.ldexp(inner * _inverse_powers(parts[-1], terms), -m)))
+    # per level: one rounded power, one product and fewer than ``terms`` additions
+    rounding = _gamma(len(parts) * (terms + 2)) * value
+
+    # The inner sum below m is at most e_q(1, 1/2, ..., 1/(m-1)) <= H_(m-1)^q / q!
+    # <= (1 + log m)^q / q!, so the summand at m is at most
+    # b(m) = 2^-m m^-k_r (1 + log m)^q / q!, and b(m + 1) <= rho b(m) for every
+    # m past ``terms``: the tail is at most b(terms + 1) / (1 - rho).
+    q = len(parts) - 1
+    first = terms + 1
+    rho = 0.5 * math.exp(q / (first * (1.0 + math.log(first))))
+    if rho >= 1.0:
+        return value, math.inf
+    log_first_term = (
+        -first * math.log(2.0) - parts[-1] * math.log(first)
+        + q * math.log(1.0 + math.log(first)) - math.lgamma(q + 1)
+    )
+    return value, rounding + math.exp(log_first_term) / (1.0 - rho)
+
+
+def _inverse_powers(k: int, terms: int) -> np.ndarray:
+    """1 / m^k for m = 1..terms, each correctly rounded (integer true division)."""
+    return np.array([1 / m ** k for m in range(1, terms + 1)])
+
+
+def _gamma(count: int) -> float:
+    """Relative error bound of ``count`` float64 roundings on non-negative terms.
+
+    The classical bound is count * u / (1 - count * u) with u = 2^-53; the
+    factor 1.01 covers it while count * u < 0.009, and the rounding of the
+    bound arithmetic itself.
+    """
+    return 1.01 * count * 2.0 ** -53
+
+
+@functools.lru_cache(maxsize=None)
 def _limit_with_error(parts: tuple[int, ...], tier: int) -> tuple[float, float]:
-    split = 1 << (16 + 2 * tier)
-    coarse = em.nested_sum_limit(parts, split=split >> 1)
-    fine = em.nested_sum_limit(parts, split=split)
-    err = 4.0 * abs(float(fine - coarse)) + 1e-15 * (1.0 + abs(float(fine)))
-    return float(fine), err
+    """zeta(parts) and a certified bound from the 1/2-Hoelder convolution.
+
+    The word w = w_1 ... w_n of ``parts``, read backwards, is the word of the
+    iterated integral of zeta(parts) over 1 > t_1 > ... > t_n > 0.  Splitting
+    that integral at t = 1/2 and substituting t -> 1 - t above the split
+    (Borwein, Bradley, Broadhurst and Lisonek, "Special values of multiple
+    polylogarithms", Trans. AMS 353, 2001) gives
+
+        zeta(w) = sum over i = 0..n of L(w_1 ... w_i) * L(dual(w_(i+1) ... w_n)),
+
+    two half-point series per term, both converging like 2^-m.  ``tier``
+    picks HALF_POINT_TERMS << tier terms per series.
+    """
+    terms = HALF_POINT_TERMS << tier
+    letters = word_of_index(Index(parts)).letters()
+    value = bound = 0.0
+    for i in range(len(letters) + 1):
+        head, head_err = _half_point(Word.from_letters(letters[:i]), terms)
+        # the dual word: reversed, with e0 and e1 swapped
+        tail, tail_err = _half_point(Word.from_letters(1 - x for x in reversed(letters[i:])), terms)
+        value += head * tail
+        bound += head_err * tail + (head + head_err) * tail_err
+    # one rounded product per term and the sum of len(letters) + 1 non-negative terms
+    return value, bound + _gamma(len(letters) + 1) * value
 
 
 def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
-    """Multiple zeta value of an admissible index, |error| <= tol expected."""
+    """Multiple zeta value of an admissible index, with a certified |error| <= tol."""
     k = as_index(k)
     if not k.admissible:
         raise DomainError(f"index ({k}) is not admissible; the nested series diverges")
@@ -68,7 +147,7 @@ def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
     if err > tol:
         value, err = _limit_with_error(k.parts, 1)
     if err > tol:
-        raise RuntimeError(f"could not reach tolerance {tol} for index ({k}); estimate {err:.3e}")
+        raise RuntimeError(f"could not reach tolerance {tol} for index ({k}); bound {err:.3e}")
     return Real(value, err)
 
 

@@ -4,11 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from mzvkit.algebra import Index, LinComb
+from mzvkit import euler_maclaurin as em
+from mzvkit import numeric as num
+from mzvkit.algebra import Index, LinComb, admissible_indices_up_to, indices_up_to_weight, word_of_index
 from mzvkit.errors import DomainError
 from mzvkit.finite_sums import RArgs, r_value, zeta_flat, zeta_lt, zeta_natural
 from mzvkit.numeric import (
     EULER_GAMMA,
+    MIN_TOL,
     Real,
     euler_gamma,
     eval_reg_polynomial,
@@ -73,6 +76,45 @@ class TestMzv:
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             mzv(idx(2), 1e-13)
+
+
+class TestHalfPointConvolution:
+    """The 1/2-Hoelder engine against an independent reference and closed forms."""
+
+    indices = [k for k in admissible_indices_up_to(8) if k.parts]
+
+    def test_agrees_with_euler_maclaurin_reference(self):
+        assert len(self.indices) == 127
+        for k in self.indices:
+            reference = float(em.nested_sum_limit(k.parts))
+            assert abs(mzv(k, MIN_TOL).value - reference) <= 1e-13, k
+
+    @pytest.mark.parametrize(
+        "parts, exact",
+        [
+            ((2,), lambda: mpmath.pi ** 2 / 6),
+            ((1, 2), lambda: mpmath.zeta(3)),
+            ((1, 1, 2), lambda: mpmath.zeta(4)),
+            *(((2,) * n, lambda n=n: mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1)) for n in range(1, 5)),
+        ],
+    )
+    def test_closed_forms_within_the_bound(self, parts, exact):
+        v = mzv(idx(*parts), MIN_TOL)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(v.value) - exact()) <= v.error_bound
+
+    def test_bound_is_a_certificate(self):
+        # a truncated series must lie within its stated bound of the 64-term one
+        words = [word_of_index(k) for k in indices_up_to_weight(8)]
+        for w in words:
+            full, full_err = num._half_point(w, 64)
+            for terms in (8, 16, 32):
+                value, err = num._half_point(w, terms)
+                assert abs(value - full) <= err + full_err, (w, terms)
+
+    def test_bound_reaches_min_tol_at_tier_zero(self):
+        for k in self.indices:
+            assert num._limit_with_error(k.parts, 0)[1] <= 1e-13, k
 
 
 class TestLiValue:

@@ -6,7 +6,7 @@ import pytest
 
 import mzvkit.numeric as num
 import mzvkit.verification as ver
-from mzvkit.algebra import Index, LinComb
+from mzvkit.algebra import Index, LinComb, word_of_index
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.numeric import Real
 from mzvkit.verification import (
@@ -163,6 +163,20 @@ class TestSoundness:
         assert heavy and not any(c.passed or c.detail["exactDecomposition"] for c in heavy)
         (case,) = [c for c in heavy if c.key == "w1=(1,1,1,1,1);w0=(1,1,1,2)"]
         assert case.detail["exactN"] == 11
+
+    def test_dropped_convolution_term_fails_edsr(self, monkeypatch):
+        # drop the j = 0 term L(w) * L(empty): the whole word integrated below 1/2
+        original = num._limit_with_error
+
+        def dropped(parts, tier):
+            value, err = original(parts, tier)
+            whole, _ = num._half_point(word_of_index(Index(parts)), num.HALF_POINT_TERMS << tier)
+            return value - whole, err
+
+        monkeypatch.setattr(num, "_limit_with_error", dropped)
+        for report in verify_edsr(FAST):
+            assert report.verdict == "fail"
+            assert sum(not c.passed for c in report.cases) == 3, report.claim_id
 
     # fit_log_rate still accepts a small constant residual here (ROADMAP item 2)
     @pytest.mark.xfail(strict=True, reason="a +1e-3 offset still passes prop-flat-natural k=(2)")
