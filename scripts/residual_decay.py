@@ -3,7 +3,8 @@
 
 For a chosen pair of operands this shows, per N in a doubling schedule, the
 defect of the double-shuffle identity under the truncated evaluation and the
-normalization residual * N / log^a N for the fitted exponent a.
+normalization residual * N / log^a N for the fitted exponent a.  A bad
+operand or schedule prints an error and exits 2.
 """
 
 import argparse
@@ -11,37 +12,37 @@ import math
 import sys
 
 from mzvkit.algebra import Index, LinComb, harmonic, shuffle
+from mzvkit.cli import _parse_schedule
+from mzvkit.errors import DomainError
 from mzvkit.numeric import fit_log_rate, zn_apply_f
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--w1", default="1", help="left index, e.g. '1' or '1,2'")
     parser.add_argument("--w0", default="2", help="right (admissible) index")
     parser.add_argument("--lo", type=int, default=16)
     parser.add_argument("--hi", type=int, default=1 << 16)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    k1 = Index.parse(args.w1)
-    k0 = Index.parse(args.w0)
-    diff = harmonic(LinComb.of_index(k1), LinComb.of_index(k0)) - shuffle(
-        LinComb.of_index(k1), LinComb.of_index(k0)
-    )
-    schedule = []
-    n = args.lo
-    while n <= args.hi:
-        schedule.append(n)
-        n *= 2
-
-    residuals = [(n, abs(zn_apply_f(diff, n, "plain"))) for n in schedule]
-    fit = fit_log_rate(residuals, a_max=k1.weight + k0.weight + 1)
+    try:
+        k1 = Index.parse(args.w1)
+        k0 = Index.parse(args.w0)
+        schedule = _parse_schedule(f"{args.lo}:{args.hi}")
+        diff = harmonic(LinComb.of_index(k1), LinComb.of_index(k0)) - shuffle(
+            LinComb.of_index(k1), LinComb.of_index(k0)
+        )
+        residuals = [(n, abs(zn_apply_f(diff, n, "plain"))) for n in schedule]
+        fit = fit_log_rate(residuals, a_max=k1.weight + k0.weight + 1)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     a = fit.fitted_log_exponent if fit.ok else 0
 
     print(f"defect of ({k1}) * ({k0}) vs shuffle, {len(diff)} terms")
     print(f"{'N':>8}  {'residual':>14}  {'residual*N/log^a N':>20}")
     for n, r in residuals:
-        normalized = r * n / math.log(n) ** a if n > 1 else float("nan")
-        print(f"{n:>8}  {r:>14.6e}  {normalized:>20.6f}")
+        print(f"{n:>8}  {r:>14.6e}  {r * n / math.log(n) ** a:>20.6f}")
     if fit.ok:
         print(f"fitted exponent a = {a}, bounded constant = {fit.bounded_constant:.4f}")
     else:

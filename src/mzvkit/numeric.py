@@ -27,6 +27,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 MIN_TOL = 1e-12
 DEFAULT_MZV_TOL = 1e-7
 DEFAULT_LI_TOL = 1e-9
+RATE_SLACK = 1.25  # factor a normalized residual may rise over its running minimum in a rate fit
 HALF_POINT_TERMS = 64  # terms of each half-point series at tier 0
 
 
@@ -139,8 +140,8 @@ def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
     k = as_index(k)
     if not k.admissible:
         raise DomainError(f"index ({k}) is not admissible; the nested series diverges")
-    if tol < MIN_TOL:
-        raise DomainError(f"tolerance {tol} is below the supported precision {MIN_TOL}")
+    if not tol >= MIN_TOL:
+        raise DomainError(f"tolerance {tol} must be at least the supported precision {MIN_TOL}")
     if not k.parts:
         return Real(1.0, 0.0)
     value, err = _limit_with_error(k.parts, 0)
@@ -160,7 +161,7 @@ def li_value(k: Index | Iterable[int], z: float, tol: float = DEFAULT_LI_TOL) ->
     k = as_index(k)
     if not (0.0 < z < 1.0):
         raise DomainError("z must lie strictly between 0 and 1")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     if not k.parts:
         return Real(1.0, 0.0)
@@ -292,7 +293,6 @@ class RateFit:
     bounded_constant: float | None
     ok: bool
     a_max: int
-    slack: float
 
     def to_dict(self) -> dict:
         return {
@@ -301,20 +301,16 @@ class RateFit:
             "boundedConstant": self.bounded_constant,
             "ok": self.ok,
             "aMax": self.a_max,
-            "slack": self.slack,
+            "slack": RATE_SLACK,
         }
 
 
-def fit_log_rate(
-    obs: Sequence[tuple[float, float]],
-    *,
-    a_max: int = 6,
-    slack: float = 1.25,
-) -> RateFit:
+def fit_log_rate(obs: Sequence[tuple[float, float]], *, a_max: int = 6) -> RateFit:
     """Find the smallest integer a with residual * N / log^a N bounded.
 
-    The normalized sequence must stay within ``slack`` of its running minimum
-    over the tail half of the observations (geometric N schedules expected).
+    The normalized sequence must stay within the factor :data:`RATE_SLACK` of
+    its running minimum over the tail half of the observations (geometric N
+    schedules expected).
     A failure flag, not an exception, reports that no exponent qualifies.
     """
     points = tuple((float(n), abs(float(r))) for n, r in obs)
@@ -334,10 +330,10 @@ def fit_log_rate(
         running = ys[0]
         good = True
         for y in ys[1:]:
-            if y > slack * running:
+            if y > RATE_SLACK * running:
                 good = False
                 break
             running = min(running, y)
         if good:
-            return RateFit(points, a, max(ys), True, a_max, slack)
-    return RateFit(points, None, None, False, a_max, slack)
+            return RateFit(points, a, max(ys), True, a_max)
+    return RateFit(points, None, None, False, a_max)

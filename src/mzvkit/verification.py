@@ -36,25 +36,28 @@ from .algebra import (
 from .errors import DomainError
 
 DEFAULT_SCHEDULE = tuple(2 ** e for e in range(4, 15))  # 16 .. 16384
+MSW_N_CAP = 60  # thm-msw's exact sweep keeps the schedule entries up to this N
+SHUFFLE_EXACT_N = 10  # least N of prop-asymp-shuffle's exact decomposition
+NOISE_FLOOR = 1e-10  # rate fits count residuals below this as 0
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs shared by all campaigns; defaults match the acceptance runs."""
+    """Knobs shared by all campaigns; defaults match the acceptance runs.
+
+    Settings that no run varies are constants instead: the MZV and
+    polylogarithm tolerances and the rate-fit slack in :mod:`mzvkit.numeric`,
+    the exact-sweep N cap, the exact-decomposition N and the noise floor in
+    this module.  :meth:`to_dict` still records them.
+    """
 
     max_weight: int = 3
     msw_max_weight: int = 6
-    msw_n_cap: int = 60
     n_schedule: tuple[int, ...] = DEFAULT_SCHEDULE
     harmonic_pairs: int = 100
     harmonic_weight: int = 5
     harmonic_n: int = 100
-    shuffle_exact_n: int = 10
     edsr_tol: float = 1e-5
-    mzv_tol: float = 1e-7
-    li_tol: float = 1e-9
-    rate_slack: float = 1.25
-    noise_floor: float = 1e-10
     seed: int = 20240801
     out_dir: str | None = None
     out_format: str = "json"
@@ -64,9 +67,8 @@ class CampaignConfig:
             raise ValueError("the N schedule must be strictly increasing")
         if any(n < 2 for n in self.n_schedule):
             raise ValueError("schedule entries must be at least 2")
-        for name in ("edsr_tol", "mzv_tol", "li_tol", "rate_slack", "noise_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.edsr_tol > 0:
+            raise ValueError("edsr_tol must be positive")
         if self.out_format not in ("json", "csv"):
             raise ValueError("out_format must be 'json' or 'csv'")
         if min(self.max_weight, self.msw_max_weight, self.harmonic_weight) < 0:
@@ -76,17 +78,17 @@ class CampaignConfig:
         return {
             "maxWeight": self.max_weight,
             "mswMaxWeight": self.msw_max_weight,
-            "mswNCap": self.msw_n_cap,
+            "mswNCap": MSW_N_CAP,
             "nSchedule": list(self.n_schedule),
             "harmonicPairs": self.harmonic_pairs,
             "harmonicWeight": self.harmonic_weight,
             "harmonicN": self.harmonic_n,
-            "shuffleExactN": self.shuffle_exact_n,
+            "shuffleExactN": SHUFFLE_EXACT_N,
             "edsrTol": self.edsr_tol,
-            "mzvTol": self.mzv_tol,
-            "liTol": self.li_tol,
-            "rateSlack": self.rate_slack,
-            "noiseFloor": self.noise_floor,
+            "mzvTol": num.DEFAULT_MZV_TOL,
+            "liTol": num.DEFAULT_LI_TOL,
+            "rateSlack": num.RATE_SLACK,
+            "noiseFloor": NOISE_FLOOR,
             "seed": self.seed,
         }
 
@@ -149,33 +151,34 @@ def _report(
     items: Sequence,
     extra: Callable[[], list[Case]] = list,
 ) -> Report:
-    """Check every item, append the ``extra()`` sentinel cases, and time the claim."""
+    """Check every item, append the ``extra()`` sentinel cases, and time the claim.
+
+    A claim with no cases fails: nothing was checked.
+    """
     started = time.perf_counter()
     cases = tuple(sorted(_map_cases(cfg, check, items) + extra(), key=lambda c: c.key))
-    verdict = "pass" if all(c.passed for c in cases) else "fail"
+    verdict = "pass" if cases and all(c.passed for c in cases) else "fail"
     return Report(claim_id, params, cases, verdict, (time.perf_counter() - started) * 1000.0)
 
 
 def _rate_case(
-    cfg: CampaignConfig,
     key: str,
     inputs: dict,
     residuals: Iterable[tuple[int, float]],
     a_max: int,
     *,
-    floor: float | None = None,
+    floor: float = NOISE_FLOOR,
     passed: bool = True,
     **detail,
 ) -> Case:
     """Fit the O(N^-1 log^a N) rate of residuals, counting those below the noise floor as 0."""
-    floor = cfg.noise_floor if floor is None else floor
     clamped = [(n, 0.0 if abs(r) < floor else abs(r)) for n, r in residuals]
-    fit = num.fit_log_rate(clamped, a_max=a_max, slack=cfg.rate_slack)
+    fit = num.fit_log_rate(clamped, a_max=a_max)
     return Case(key, inputs, passed and fit.ok, {"fit": fit.to_dict(), **detail})
 
 
 def _rate_params(cfg: CampaignConfig) -> dict:
-    return {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
+    return {"maxWeight": cfg.max_weight, "schedule": list(cfg.n_schedule), "slack": num.RATE_SLACK}
 
 
 def _frac(q: Fraction) -> str:
@@ -201,7 +204,7 @@ def verify_msw(cfg: CampaignConfig) -> list[Report]:
     """Exact equality of the plain and discretized truncated sums."""
     if cfg.msw_max_weight > 8:
         raise DomainError("cost guard: the exact sweep is limited to weight <= 8")
-    n_values = [n for n in cfg.n_schedule if n <= cfg.msw_n_cap]
+    n_values = [n for n in cfg.n_schedule if n <= MSW_N_CAP]
     if not n_values:
         raise DomainError("no schedule entry lies within the exact-sweep N cap")
     indices = [k for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
@@ -251,7 +254,7 @@ def verify_flat_natural(cfg: CampaignConfig) -> list[Report]:
 
     def check(k: Index) -> Case:
         residuals = [(n, num.zeta_flat_f(k, n) - num.zeta_natural_f(k, n)) for n in cfg.n_schedule]
-        return _rate_case(cfg, f"k=({k})", {"index": str(k)}, residuals, k.weight + 1)
+        return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1)
 
     indices = indices_up_to_weight(cfg.max_weight)
     return [_report(cfg, "prop-flat-natural", _rate_params(cfg), check, indices)]
@@ -270,18 +273,18 @@ def verify_lemma_r(cfg: CampaignConfig) -> list[Report]:
         args = fs.RArgs.parse(text)
         # feeding R/N lets the N-normalized fitter bound R / log^a N itself
         values = [(n, num.r_value_f(args, n) / n) for n in cfg.n_schedule]
-        floor = cfg.noise_floor / max(cfg.n_schedule)
-        return _rate_case(cfg, f"R=({text})", {"rargs": text}, values, args.depth, floor=floor)
+        floor = NOISE_FLOOR / max(cfg.n_schedule)
+        return _rate_case(f"R=({text})", {"rargs": text}, values, args.depth, floor=floor)
 
     def decay(text: str) -> Case:
         args = fs.RArgs.parse(text)
         residuals = [(n, num.r_value_f(args, n)) for n in cfg.n_schedule]
-        return _rate_case(cfg, f"R=({text})", {"rargs": text}, residuals, args.depth + 1)
+        return _rate_case(f"R=({text})", {"rargs": text}, residuals, args.depth + 1)
 
     def sentinels() -> list[Case]:
         # R(2,1;0,0) converges to the weight-3 nested zeta value
         sentinel_n = 10 ** 5
-        limit = num.mzv(Index((1, 2)), cfg.mzv_tol)
+        limit = num.mzv(Index((1, 2)))
         approached = num.r_value_f(fs.RArgs.parse("2,1;0,0"), sentinel_n)
         gap = abs(approached - limit.value)
         # R(1,2;0,0) grows without bound (strictly increasing schedule)
@@ -302,7 +305,7 @@ def verify_lemma_r(cfg: CampaignConfig) -> list[Report]:
             ),
         ]
 
-    params = {"schedule": list(cfg.n_schedule), "slack": cfg.rate_slack}
+    params = {"schedule": list(cfg.n_schedule), "slack": num.RATE_SLACK}
     return [
         _report(cfg, claim_id, {**params, "cases": list(texts)}, check, texts, extra)
         for claim_id, texts, check, extra in (
@@ -333,12 +336,11 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
             lhs = num.zn_apply_f(x, n, "natural") * num.zn_apply_f(y, n, "natural")
             residuals.append((n, lhs - num.zn_apply_f(sh, n, "natural")))
         # a natural chain longer than N - 1 sums to 0, so keep N above the pair's weight
-        n0 = max(cfg.shuffle_exact_n, k.weight + l.weight + 1)
+        n0 = max(SHUFFLE_EXACT_N, k.weight + l.weight + 1)
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
         exact_rhs = fs.zn_apply(sh, n0, "natural") + fs.diagonal_terms(k, l, n0)
         exact_ok = exact_lhs == exact_rhs
         return _rate_case(
-            cfg,
             f"w1=({k});w0=({l})",
             {"w1": str(k), "w0": str(l)},
             residuals,
@@ -350,7 +352,7 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
             exactRhs=_frac(exact_rhs),
         )
 
-    params = {**_rate_params(cfg), "exactN": cfg.shuffle_exact_n}
+    params = {**_rate_params(cfg), "exactN": SHUFFLE_EXACT_N}
     return [_report(cfg, "prop-asymp-shuffle", params, check, _shuffle_pairs(cfg))]
 
 
@@ -364,7 +366,7 @@ def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
         )
         residuals = [(n, num.zn_apply_f(diff, n, "plain")) for n in cfg.n_schedule]
         inputs = {"w1": str(k), "w0": str(l)}
-        return _rate_case(cfg, f"w1=({k});w0=({l})", inputs, residuals, k.weight + l.weight + 1, terms=len(diff))
+        return _rate_case(f"w1=({k});w0=({l})", inputs, residuals, k.weight + l.weight + 1, terms=len(diff))
 
     return [_report(cfg, "thm-main", _rate_params(cfg), check, _shuffle_pairs(cfg))]
 
@@ -377,11 +379,9 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
         poly = reg.z_star_polynomial(k)
         residuals = []
         for n in cfg.n_schedule:
-            predicted = num.eval_reg_polynomial(poly, math.log(n) + gamma, cfg.li_tol)
+            predicted = num.eval_reg_polynomial(poly, math.log(n) + gamma)
             residuals.append((n, num.zeta_lt_f(k, n) - predicted.value))
-        return _rate_case(
-            cfg, f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree
-        )
+        return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
     def sentinel() -> list[Case]:
         # H_{N-1} - log N - gamma stays below 1/N over six decades
@@ -411,22 +411,22 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
         residuals = []
         for e in exponents:
             z = 1.0 - 0.5 ** e
-            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), cfg.li_tol)
-            observed = num.li_value(k, z, cfg.li_tol)
+            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z))
+            observed = num.li_value(k, z)
             residuals.append((1 << e, observed.value - predicted.value))
         inputs = {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
-        return _rate_case(cfg, f"k=({k})", inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
+        return _rate_case(f"k=({k})", inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
-    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": cfg.rate_slack}
+    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK}
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
     return [_report(cfg, "prop-asymp-Li", params, check, indices)]
 
 
-def _z_value(x: LinComb, tol: float) -> tuple[float, float]:
+def _z_value(x: LinComb) -> tuple[float, float]:
     value = 0.0
     err = 0.0
     for w, c in x.items():
-        zeta = num.mzv(index_of_word(w), tol)
+        zeta = num.mzv(index_of_word(w), num.DEFAULT_MZV_TOL)
         value += float(c) * zeta.value
         err += abs(float(c)) * zeta.error_bound
     return value, err
@@ -444,7 +444,7 @@ def verify_edsr(cfg: CampaignConfig) -> list[Report]:
             LinComb.of_index(k), LinComb.of_index(l)
         )
         regularized = reg.reg_star(diff) if which == "star" else reg.reg_shuffle(diff)
-        value, err = _z_value(regularized, cfg.mzv_tol)
+        value, err = _z_value(regularized)
         residual = abs(value)
         return Case(
             key=f"w1=({k});w0=({l})",
@@ -453,7 +453,7 @@ def verify_edsr(cfg: CampaignConfig) -> list[Report]:
             detail={"residual": residual, "errorBound": err, "tol": cfg.edsr_tol, "terms": len(regularized)},
         )
 
-    params = {"maxWeight": cfg.max_weight, "tol": cfg.edsr_tol, "mzvTol": cfg.mzv_tol}
+    params = {"maxWeight": cfg.max_weight, "tol": cfg.edsr_tol, "mzvTol": num.DEFAULT_MZV_TOL}
     return [
         _report(cfg, claim_id, params, check, [(k, l, which) for k, l in pairs])
         for claim_id, which in (("thm-edsr-star", "star"), ("thm-edsr-sh", "shuffle"))

@@ -114,7 +114,7 @@ def test_criterion_4_euler_relation_through_pipeline():
 
 def test_criterion_5_edsr_sweep():
     started = time.perf_counter()
-    cfg = CampaignConfig(max_weight=3, edsr_tol=1e-5, mzv_tol=1e-7)
+    cfg = CampaignConfig(max_weight=3, edsr_tol=1e-5)
     star, sh = verify_edsr(cfg)
     # 8 left words (weights 0..3) against 4 admissible right words ((), (2), (3), (1,2))
     assert len(star.cases) == 32 and len(sh.cases) == 32

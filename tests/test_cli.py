@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,17 @@ class TestCommands:
         assert main(["verify", "thm-edsr-star", "--tol", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_tolerances_are_usage_errors(self, capsys):
+        assert main(["verify", "thm-edsr-star", "--tol", "nan"]) == 2
+        assert main(["mzv", "2", "--tol", "nan"]) == 2
+        assert capsys.readouterr().err.count("error") == 2
+
+    def test_claim_without_cases_fails(self, tmp_path, capsys):
+        assert main(["verify", "thm-main", "--max-weight", "1", "--out", str(tmp_path)]) == 1
+        assert "thm-main: FAIL (0 cases" in capsys.readouterr().out
+        report = json.loads((tmp_path / "thm-main.json").read_text())
+        assert report["verdict"] == "fail" and report["cases"] == []
+
     def test_verify_asymp_shuffle_past_the_brute_force_cap(self, capsys):
         assert main(["verify", "prop-asymp-shuffle", "--max-weight", "4", "--n-schedule", "16:256"]) == 0
         assert "prop-asymp-shuffle: PASS" in capsys.readouterr().out
@@ -102,7 +115,7 @@ class TestCommands:
                 "verify",
                 "all",
                 "--max-weight",
-                "1",
+                "2",
                 "--out",
                 str(tmp_path),
             ]
@@ -110,4 +123,28 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "thm-msw: PASS" in out and "OUT-OF-SCOPE" in out
+        assert "(0 cases" not in out
         assert (tmp_path / "summary.json").exists()
+
+
+def _residual_decay():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "residual_decay.py"
+    spec = importlib.util.spec_from_file_location("residual_decay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestResidualDecayScript:
+    def test_bad_schedules_are_usage_errors(self, capsys):
+        script = _residual_decay()
+        for lo in ("0", "-4", "1"):
+            assert script.main(["--lo", lo]) == 2
+        assert script.main(["--lo", "16", "--hi", "64"]) == 2  # three points are too few to fit
+        assert capsys.readouterr().err.count("error") == 4
+
+    def test_small_range_prints_the_table_and_exponent(self, capsys):
+        assert _residual_decay().main(["--lo", "16", "--hi", "1024"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"{n:>8}  " in out for n in (16, 32, 64, 128, 256, 512, 1024))
+        assert "fitted exponent a = " in out

@@ -21,6 +21,7 @@ from mzvkit.finite_sums import (
     zeta_natural,
     zn_apply,
 )
+from mzvkit.numeric import chain_value_f
 from mzvkit.verification import CampaignConfig, _shuffle_pairs
 
 
@@ -198,7 +199,9 @@ class TestBruteForceOracle:
     @settings(max_examples=60, deadline=None)
     def test_dp_equals_brute_force_random_chains(self, steps, n):
         chain = ConstraintChain(tuple(Step(pos == 0 or strict, a, b) for pos, (strict, a, b) in enumerate(steps)))
-        assert evaluate_chain(chain, n) == brute_force(chain, n)
+        exact = brute_force(chain, n)
+        assert evaluate_chain(chain, n) == exact
+        assert abs(chain_value_f(chain, n) - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
     def test_caps_refuse(self):
         with pytest.raises(CapExceededError):

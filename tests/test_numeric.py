@@ -74,8 +74,9 @@ class TestMzv:
             mzv(idx(2, 1))
 
     def test_tolerance_floor(self):
-        with pytest.raises(DomainError):
-            mzv(idx(2), 1e-13)
+        for tol in (1e-13, float("nan")):
+            with pytest.raises(DomainError):
+                mzv(idx(2), tol)
 
 
 class TestHalfPointConvolution:
@@ -147,6 +148,11 @@ class TestLiValue:
 
     def test_empty_index(self):
         assert li_value(idx(), 0.5).value == 1.0
+
+    def test_tolerance_must_be_positive(self):
+        for tol in (0.0, float("nan")):
+            with pytest.raises(DomainError):
+                li_value(idx(2), 0.5, tol)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -38,6 +38,8 @@ class TestConfig:
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignConfig(edsr_tol=0.0)
+        with pytest.raises(ValueError):
+            CampaignConfig(edsr_tol=float("nan"))
 
 
 class TestCampaignsPass:
@@ -284,10 +286,11 @@ class TestReports:
 
     def test_run_all_covers_catalog(self, tmp_path):
         cfg = CampaignConfig(
-            max_weight=1, msw_max_weight=2, harmonic_pairs=5, harmonic_n=10, out_dir=str(tmp_path)
+            max_weight=2, msw_max_weight=2, harmonic_pairs=5, harmonic_n=10, out_dir=str(tmp_path)
         )
         reports, status = run_all(cfg)
         assert status == 0
+        assert all(r.cases for r in reports)
         claim_ids = {r.claim_id for r in reports}
         assert claim_ids == set(CLAIM_IDS) - set(OUT_OF_SCOPE_CLAIMS)
         summary = json.loads((tmp_path / "summary.json").read_text())
