@@ -3,8 +3,9 @@
 
 For a chosen pair of operands this shows, per N in a doubling schedule, the
 defect of the double-shuffle identity under the truncated evaluation and the
-normalization residual * N / log^a N for the fitted exponent a.  A bad
-operand or schedule prints an error and exits 2.
+normalization residual * N / log^a N for the fitted exponent a.  It exits 0
+when an exponent qualifies and 1 when none does; a bad operand or schedule
+prints an error and exits 2.
 """
 
 import argparse
@@ -43,10 +44,10 @@ def main(argv=None) -> int:
     print(f"{'N':>8}  {'residual':>14}  {'residual*N/log^a N':>20}")
     for n, r in residuals:
         print(f"{n:>8}  {r:>14.6e}  {r * n / math.log(n) ** a:>20.6f}")
-    if fit.ok:
-        print(f"fitted exponent a = {a}, bounded constant = {fit.bounded_constant:.4f}")
-    else:
+    if not fit.ok:
         print("no exponent qualified; the residuals do not decay like N^-1 log^a N")
+        return 1
+    print(f"fitted exponent a = {a}, bounded constant = {fit.bounded_constant:.4f}")
     return 0
 
 

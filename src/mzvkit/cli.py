@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -178,10 +179,18 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
     except (DomainError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (``mzvkit verify all | head -1``); point
+        # stdout at devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,29 +4,39 @@ Four families share one dynamic program over a chain of constrained summation
 variables n_1, ..., n_k in (0, N): per position the relation to the previous
 variable is strict or non-strict, and the summand factor is
 1 / ((N - n)^a * n^b).  Prefix sums give O(k * N) operations instead of the
-naive O(N^k) enumeration.  The diagonal terms of a product of two
-strict-chain sums come from a second prefix-sum DP over the merge grid of
-their steps.  The naive enumeration of chain tuples is kept as the
-independent brute-force oracle of both, capped for safety.
+naive O(N^k) enumeration.  :class:`ChainWalk` is that DP, once, for a
+sequence of chains: each chain continues from the prefix it shares with the
+one before, so chains in sorted order walk their prefix trie, each distinct
+prefix costs one step and only the rows of the current path are held.  It is
+generic over its arithmetic; :class:`IntegerRows` here and
+:class:`mzvkit.numeric.FloatRows` are the two.  :func:`evaluate_chain`
+evaluates one chain in a walk of its own or in one it is given, and
+:func:`zn_apply` passes one walk to all the words of a combination.  The
+diagonal terms of a product of two strict-chain sums come from a second
+prefix-sum DP over the merge grid of their steps.  The naive enumeration of
+chain tuples is kept as the independent brute-force oracle of both, capped
+for safety.
 
 Results are exact ``fractions.Fraction`` values.  Both DPs run on integers
 over one common denominator: with L = lcm(1..N-1), every summand factor
 divides L^(a+b), so each step multiplies by the integer L^(a+b) / ((N-n)^a n^b)
 and a DP value after steps of total exponent w is the numerator over L^w.
-The sum becomes a Fraction once, at the end, which saves a gcd per
+Each chain's sum becomes a Fraction once, at the end, which saves a gcd per
 operation.  The brute-force oracle stays on Fractions, independent of this
-scaling.  Floating twins for large N live in :mod:`mzvkit.numeric`.
+scaling.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
-from .algebra import Index, LinComb, index_of_word, jset
+from .algebra import Index, LinComb, Word, index_of_word, jset
 from .errors import CapExceededError, DomainError
 
 Rational = Fraction
@@ -73,9 +83,11 @@ class RArgs:
         return ",".join(map(str, self.a)) + ";" + ",".join(map(str, self.b))
 
 
-@dataclass(frozen=True)
-class Step:
-    """One chain position: relation to the previous variable plus weight exponents."""
+class Step(NamedTuple):
+    """One chain position: relation to the previous variable plus weight exponents.
+
+    A tuple, so that the chain walk hashes and sorts chains at C speed.
+    """
 
     strict: bool
     a: int  # exponent on (N - n)
@@ -126,49 +138,86 @@ def _weight(step: Step, n: int, N: int) -> Fraction:
     return Fraction(1, (N - n) ** step.a * n ** step.b)
 
 
-def _weight_table(N: int, lcm: int) -> Callable[[Step], list[int]]:
-    """The scaled weights of a step at N, built once per exponent pair (a, b).
+@functools.lru_cache(maxsize=64)
+def _lcm_below(N: int) -> int:
+    """lcm(1..N-1), kept for the few N a campaign evaluates its many small sums at."""
+    return math.lcm(*range(1, N))
 
-    Entry n - 1 is lcm^(a+b) / ((N - n)^a * n^b), exact because every n < N
-    divides lcm.  A chain has few distinct pairs, so one table per DP call
-    replaces N big-integer divisions per step.
+
+class IntegerRows:
+    """The exact arithmetic of the chain DP at N: integer numerators over powers of lcm(1..N-1).
+
+    Row entry n - 1 belongs to the summation value n.  The weight row of an
+    exponent pair (a, b) holds lcm^(a+b) / ((N - n)^a * n^b), exact because
+    every n < N divides lcm, so a row after steps of total exponent w is the
+    numerator of its sums over lcm^w.
     """
-    built: dict[tuple[int, int], list[int]] = {}
 
-    def weights(step: Step) -> list[int]:
-        key = (step.a, step.b)
-        if key not in built:
-            scale = lcm ** (step.a + step.b)
-            built[key] = [scale // ((N - n) ** step.a * n ** step.b) for n in range(1, N)]
-        return built[key]
+    one = Fraction(1)
 
-    return weights
+    def __init__(self, N: int) -> None:
+        self.N = N
+        self.lcm = _lcm_below(N)
+
+    def weights(self, a: int, b: int) -> list[int]:
+        N, scale = self.N, self.lcm ** (a + b)
+        return [scale // ((N - n) ** a * n ** b) for n in range(1, N)]
+
+    def step(self, weights: list[int], values: list[int], strict: bool) -> list[int]:
+        """Each weight times the sum of the values below (strict) or up to (non-strict) its n."""
+        below = itertools.accumulate(values, initial=0) if strict else itertools.accumulate(values)
+        return list(map(operator.mul, weights, below))
+
+    def total(self, values: list[int], steps: tuple[Step, ...]) -> Fraction:
+        """The chain's sum from its last row."""
+        return Fraction(sum(values), self.lcm ** sum(a + b for _, a, b in steps))
 
 
-def evaluate_chain(chain: ConstraintChain, N: int) -> Fraction:
+class ChainWalk:
+    """The prefix-sum DP of a sequence of chains, sharing the rows of common prefixes.
+
+    Each chain continues from the longest prefix it shares with the chain
+    before it, so chains taken in sorted order walk their prefix trie: each
+    distinct prefix costs one DP step, and only the rows of the current path
+    are kept.  ``rows`` is the arithmetic, with the interface of
+    :class:`IntegerRows`; :class:`mzvkit.numeric.FloatRows` is the float64
+    one.  Each weight row is built once per exponent pair.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+        self._weights: dict = {}  # weight rows by exponent pair
+        self._steps: tuple[Step, ...] = ()  # the chain of the current path
+        self._path: list = []  # _path[i]: the row after the first i + 1 steps of _steps
+
+    def value(self, steps: tuple[Step, ...]):
+        """The sum of the chain with these steps."""
+        rows, path, previous = self.rows, self._path, self._steps
+        shared = 0
+        while shared < min(len(previous), len(steps)) and previous[shared] == steps[shared]:
+            shared += 1
+        del path[shared:]
+        for strict, a, b in steps[shared:]:
+            weights = self._weights.get((a, b))
+            if weights is None:
+                weights = self._weights[a, b] = rows.weights(a, b)
+            path.append(rows.step(weights, path[-1], strict) if path else weights)
+        self._steps = steps
+        return rows.total(path[-1], steps) if steps else rows.one
+
+
+def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> Fraction:
     """Exact chain sum over 0 < n_1 R n_2 R ... R n_k < N by prefix-sum DP,
-    on integer numerators over powers of lcm(1..N-1)."""
+    on integer numerators over powers of lcm(1..N-1).
+
+    ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, continues from the
+    chains evaluated in it before; :func:`zn_apply` passes one to all its words.
+    """
     if N < 1:
         raise DomainError("N must be a positive integer")
-    if not chain.steps:
-        return Fraction(1)
-    lcm = math.lcm(*range(1, N))
-    weights_of = _weight_table(N, lcm)
-    values = weights_of(chain.steps[0])
-    for step in chain.steps[1:]:
-        weights = weights_of(step)
-        out: list[int] = []
-        running = 0
-        if step.strict:
-            for value, weight in zip(values, weights):
-                out.append(weight * running)
-                running += value
-        else:
-            for value, weight in zip(values, weights):
-                running += value
-                out.append(weight * running)
-        values = out
-    return Fraction(sum(values), lcm ** sum(s.a + s.b for s in chain.steps))
+    if walk is None:
+        walk = ChainWalk(IntegerRows(N))
+    return walk.value(chain.steps)
 
 
 def zeta_lt(k: Index, N: int) -> Fraction:
@@ -210,14 +259,27 @@ def variant_chain(variant: str) -> Callable[[Index], ConstraintChain]:
         raise DomainError(f"variant must be one of {sorted(VARIANTS)}, got {variant!r}") from None
 
 
-def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
-    """Linear extension of the chosen evaluator to H1 combinations."""
+def word_chain(x: LinComb, variant: str) -> Callable[[Word], ConstraintChain]:
+    """The chain of a word under ``variant``, once ``x`` is checked to lie in H1.
+
+    An unknown variant raises DomainError also when ``x`` has no terms.
+    """
     chain_of = variant_chain(variant)
     if not x.in_h1:
         raise DomainError("zn_apply requires support in H1")
+    return lambda w: chain_of(index_of_word(w))
+
+
+def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
+    """Linear extension of the chosen evaluator to H1 combinations, all words in one walk."""
+    chain_of = word_chain(x, variant)
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    terms = sorted(((chain_of(w), c) for w, c in x.items()), key=lambda term: term[0].steps)
+    walk = ChainWalk(IntegerRows(N))  # in sorted order the chains walk their prefix trie
     total = Fraction(0)
-    for w, c in x.items():
-        total += c * evaluate_chain(chain_of(index_of_word(w)), N)
+    for chain, c in terms:
+        total += c * evaluate_chain(chain, N, walk)
     return total
 
 
@@ -238,8 +300,8 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
     right = ConstraintChain.natural(l).steps
     # every state (i, j, tied) has the weight of left[:i] plus right[:j], so its
     # values share the denominator lcm^weight; the grid holds the numerators
-    lcm = math.lcm(*range(1, N))
-    weights_of = _weight_table(N, lcm)
+    rows = IntegerRows(N)
+    weights_of = functools.cache(rows.weights)
     # ending[n]: merged chains over left[:i], right[:j] whose last value is n; the empty chain ends at 0
     grid = {(0, 0, False): [1] + [0] * (N - 1)}
     for i in range(len(left) + 1):
@@ -259,10 +321,10 @@ def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:
                 below = list(itertools.accumulate(ending))  # below[n - 1]: chains ending before n
                 for state, step in moves:
                     out = grid.setdefault(state, [0] * N)
-                    for n, weight in enumerate(weights_of(step), 1):
+                    for n, weight in enumerate(weights_of(step.a, step.b), 1):
                         out[n] += weight * below[n - 1]
     final = grid.get((len(left), len(right), True))
-    return Fraction(sum(final), lcm ** (k.weight + l.weight)) if final else Fraction(0)
+    return Fraction(sum(final), rows.lcm ** (k.weight + l.weight)) if final else Fraction(0)
 
 
 BruteForceTarget = Union[Index, RArgs, ConstraintChain]

@@ -4,9 +4,18 @@ Exact rational evaluation lives in :mod:`mzvkit.finite_sums`; this module
 holds everything floating: MZV limits from the 1/2-Hoelder convolution (each
 MZV a finite sum of products of two nested polylogarithms at 1/2, in float64
 with a certified error bound, no extended precision), the nested
-polylogarithm power series, float twins of the chain DP for large N (where
-exact rationals are hopeless), and the log-rate fitter that turns
+polylogarithm power series, the float64 arithmetic of the chain DP for large
+N (where exact rationals are hopeless), and the log-rate fitter that turns
 O(N^-1 log^a N) claims into checkable statements.
+
+The float chain sums run the same prefix-trie walk as the exact ones
+(:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).
+:func:`zn_apply_f` keeps each word's float per (N, variant) for later calls
+and passes the words it has not seen there through :func:`chain_value_f`, in
+one walk.  Every float equals that of
+evaluating each chain on its own: the same power per weight, the same
+sequential ``cumsum``, ``.sum()`` over the whole last row, and the words
+combined as ``float(c) * value`` in term order.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 
 from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
 from .errors import DomainError
-from .finite_sums import ConstraintChain, RArgs, variant_chain
+from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, word_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -218,28 +227,56 @@ def eval_reg_polynomial(p, t: float, tol: float = DEFAULT_LI_TOL) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# floating twins of the exact chain DP (for N far beyond exact-rational reach)
+# the chain DP in float64, for N far beyond exact-rational reach
 
-def chain_value_f(chain: ConstraintChain, N: int) -> float:
+class FloatRows:
+    """The float64 arithmetic of :class:`mzvkit.finite_sums.ChainWalk` at N.
+
+    Row entry n - 1 belongs to the summation value n.  A weight row computes
+    only its non-zero power: the other factor, x ** -0.0, is exactly 1.0, so
+    leaving it out changes no float.  The prefix sums are one sequential
+    ``cumsum`` and a chain's sum is ``.sum()`` over its whole last row.
+    """
+
+    one = 1.0
+
+    def __init__(self, N: int) -> None:
+        self.n = np.arange(1, N, dtype=np.float64)
+        self.rev = np.float64(N) - self.n
+
+    def weights(self, a: int, b: int) -> np.ndarray:
+        if b == 0:
+            return self.rev ** float(-a)
+        if a == 0:
+            return self.n ** float(-b)
+        return self.rev ** float(-a) * self.n ** float(-b)
+
+    def step(self, weights: np.ndarray, values: np.ndarray, strict: bool) -> np.ndarray:
+        """Each weight times the sum of the values below (strict) or up to (non-strict) its n."""
+        if strict:
+            below = np.empty_like(values)
+            below[:1] = 0.0
+            np.cumsum(values[:-1], out=below[1:])
+        else:
+            below = np.cumsum(values)
+        return np.multiply(weights, below, out=below)
+
+    def total(self, values: np.ndarray, steps: tuple[Step, ...]) -> float:
+        """The chain's sum from its last row."""
+        return float(values.sum())
+
+
+def chain_value_f(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> float:
+    """Chain sum over 0 < n_1 R n_2 R ... R n_k < N in float64.
+
+    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over ``FloatRows(N)``,
+    continues from the chains evaluated in it before.
+    """
     if N < 1:
         raise DomainError("N must be a positive integer")
-    if not chain.steps:
-        return 1.0
-    if N == 1:
-        return 0.0
-    n = np.arange(1, N, dtype=np.float64)
-    rev = np.float64(N) - n
-    values: np.ndarray | None = None
-    for step in chain.steps:
-        w = rev ** float(-step.a) * n ** float(-step.b)
-        if values is None:
-            values = w
-            continue
-        csum = np.cumsum(values)
-        prefix = np.concatenate(([0.0], csum[:-1])) if step.strict else csum
-        values = w * prefix
-    assert values is not None
-    return float(values.sum())
+    if walk is None:
+        walk = ChainWalk(FloatRows(N))
+    return walk.value(chain.steps)
 
 
 def zeta_lt_f(k: Index | Iterable[int], N: int) -> float:
@@ -261,15 +298,25 @@ def r_value_f(args: RArgs, N: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _word_value_f(w: Word, N: int, variant: str) -> float:
-    return chain_value_f(variant_chain(variant)(index_of_word(w)), N)
+def _word_value_f(N: int, variant: str) -> dict[Word, float]:
+    """The float sums of the words evaluated so far at (N, variant), filled by :func:`zn_apply_f`."""
+    return {}
 
 
 def zn_apply_f(x: LinComb, N: int, variant: str = "plain") -> float:
-    variant_chain(variant)  # an unknown variant raises even when x has no terms
-    if not x.in_h1:
-        raise DomainError("zn_apply requires support in H1")
-    return sum(float(c) * _word_value_f(w, N, variant) for w, c in x.items())
+    """Float64 twin of :func:`mzvkit.finite_sums.zn_apply`; the words not
+    evaluated before at (N, variant) share one walk."""
+    chain_of = word_chain(x, variant)
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    known = _word_value_f(N, variant)
+    terms = x.items()
+    unseen = sorted(((chain_of(w), w) for w, _ in terms if w not in known), key=lambda item: item[0].steps)
+    if unseen:
+        walk = ChainWalk(FloatRows(N))  # in sorted order the chains walk their prefix trie
+        for chain, w in unseen:
+            known[w] = chain_value_f(chain, N, walk)
+    return sum(float(c) * known[w] for w, c in terms)
 
 
 def harmonic_number_f(n: int) -> float:

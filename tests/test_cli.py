@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,6 +129,25 @@ class TestCommands:
         assert "(0 cases" not in out
         assert (tmp_path / "summary.json").exists()
 
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # like `mzvkit verify all | head -1`; unbuffered, so that each line
+        # reaches the pipe as it is printed and the second one finds it closed
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from mzvkit.cli import main; sys.exit(main())",
+             "verify", "all", "--max-weight", "2", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith("thm-msw: PASS")
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
 
 def _residual_decay():
     path = Path(__file__).resolve().parent.parent / "scripts" / "residual_decay.py"
@@ -148,3 +170,8 @@ class TestResidualDecayScript:
         out = capsys.readouterr().out
         assert all(f"{n:>8}  " in out for n in (16, 32, 64, 128, 256, 512, 1024))
         assert "fitted exponent a = " in out
+
+    def test_no_qualifying_exponent_exits_1(self, capsys):
+        # (1) * (1): a non-admissible right operand, whose defect does not decay like N^-1 log^a N
+        assert _residual_decay().main(["--w1", "1", "--w0", "1", "--lo", "16", "--hi", "1024"]) == 1
+        assert "no exponent qualified" in capsys.readouterr().out

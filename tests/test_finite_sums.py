@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzvkit.algebra import Index, LinComb, Word, harmonic, indices_up_to_weight, shuffle
+from mzvkit.algebra import Index, LinComb, Word, harmonic, index_of_word, indices_up_to_weight, shuffle
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import (
+    ChainWalk,
     ConstraintChain,
+    IntegerRows,
     RArgs,
     Step,
     boundary_overlap_sum,
@@ -155,6 +157,71 @@ class TestLinearMaps:
         x, y = LinComb.of_index(idx(*p1)), LinComb.of_index(idx(*p2))
         assert zn_apply(harmonic(x, y), n) == zn_apply(x, n) * zn_apply(y, n)
 
+    @given(
+        st.tuples(st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), max_size=3)).filter(
+            lambda pq: sum(pq[0]) + sum(pq[1]) <= 5
+        ),
+        st.sampled_from(["harmonic", "shuffle"]),
+        st.sampled_from(["plain", "flat", "natural"]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_equals_brute_force_on_products(self, pq, op, variant, n):
+        p, q = pq
+        x, y = LinComb.of_index(idx(*p)), LinComb.of_index(idx(*q))
+        product = (harmonic if op == "harmonic" else shuffle)(x, y)
+        expected = sum(
+            (c * brute_force(index_of_word(w), n, kind=variant) for w, c in product.items()),
+            Fraction(0),
+        )
+        assert zn_apply(product, n, variant) == expected
+
+    def test_walk_takes_one_step_per_distinct_prefix(self):
+        x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
+        product = shuffle(x, y)
+        chains = sorted(ConstraintChain.natural(index_of_word(w)).steps for w, _ in product.items())
+        calls = {"weights": 0, "step": 0}
+
+        class Counting(IntegerRows):
+            def weights(self, a, b):
+                calls["weights"] += 1
+                return super().weights(a, b)
+
+            def step(self, weights, values, strict):
+                calls["step"] += 1
+                return super().step(weights, values, strict)
+
+        walk = ChainWalk(Counting(9))
+        sums = [walk.value(steps) for steps in chains]
+        assert sums == [evaluate_chain(ConstraintChain(steps), 9) for steps in chains]
+        longer_prefixes = {steps[:i] for steps in chains for i in range(2, len(steps) + 1)}
+        assert calls["step"] == len(longer_prefixes) < sum(len(steps) - 1 for steps in chains)
+        assert calls["weights"] == len({(s.a, s.b) for steps in chains for s in steps})
+
+    def test_every_word_goes_through_evaluate_chain(self, monkeypatch):
+        # the benchmark's tracer counts the DP work of zn_apply at evaluate_chain
+        import mzvkit.finite_sums as fs
+
+        seen = []
+        original = fs.evaluate_chain
+
+        def counting(chain, N, walk=None):
+            seen.append((chain.steps, N))
+            return original(chain, N, walk)
+
+        monkeypatch.setattr(fs, "evaluate_chain", counting)
+        product = harmonic(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1)))
+        value = zn_apply(product, 7, "flat")
+        expected = {ConstraintChain.flat(index_of_word(w)).steps for w in product.support()}
+        assert sorted(seen) == seen and {steps for steps, _ in seen} == expected and len(seen) == len(product)
+        assert {N for _, N in seen} == {7}
+        assert value == sum((c * brute_force(index_of_word(w), 7, kind="flat") for w, c in product.items()), Fraction(0))
+
+    def test_n_one(self):
+        for variant in ("plain", "flat", "natural"):
+            assert zn_apply(LinComb.of_index(idx(1, 2)), 1, variant) == 0
+            assert zn_apply(LinComb.unit(), 1, variant) == 1
+
     def test_domain_error_outside_h1(self):
         with pytest.raises(DomainError):
             zn_apply(LinComb.of_word(Word.parse("01")), 5)
@@ -162,6 +229,8 @@ class TestLinearMaps:
     def test_unknown_variant(self):
         with pytest.raises(DomainError):
             zn_apply(LinComb.unit(), 5, "fancy")
+        with pytest.raises(DomainError):
+            zn_apply(LinComb(), 5, "fancy")
 
 
 class TestBruteForceOracle:
@@ -202,6 +271,26 @@ class TestBruteForceOracle:
         exact = brute_force(chain, n)
         assert evaluate_chain(chain, n) == exact
         assert abs(chain_value_f(chain, n) - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 2)).filter(lambda s: s[1] + s[2] >= 1),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(1, 9),
+    )
+    @example([[(True, 0, 1), (True, 0, 1)], [(True, 0, 1), (False, 0, 1)]], 6)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_over_chain_sets_equals_brute_force(self, chains, n):
+        steps = [tuple(Step(pos == 0 or strict, a, b) for pos, (strict, a, b) in enumerate(c)) for c in chains]
+        expected = [brute_force(ConstraintChain(c), n) for c in steps]
+        for order in (steps, sorted(steps)):  # any order is correct; sorted order shares the most
+            walk = ChainWalk(IntegerRows(n))
+            assert [walk.value(c) for c in order] == [expected[steps.index(c)] for c in order]
 
     def test_caps_refuse(self):
         with pytest.raises(CapExceededError):

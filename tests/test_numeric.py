@@ -3,12 +3,23 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzvkit import euler_maclaurin as em
 from mzvkit import numeric as num
-from mzvkit.algebra import Index, LinComb, admissible_indices_up_to, indices_up_to_weight, word_of_index
+from mzvkit.algebra import (
+    Index,
+    LinComb,
+    admissible_indices_up_to,
+    harmonic,
+    index_of_word,
+    indices_up_to_weight,
+    shuffle,
+    word_of_index,
+)
 from mzvkit.errors import DomainError
-from mzvkit.finite_sums import RArgs, r_value, zeta_flat, zeta_lt, zeta_natural
+from mzvkit.finite_sums import RArgs, r_value, variant_chain, zeta_flat, zeta_lt, zeta_natural
 from mzvkit.numeric import (
     EULER_GAMMA,
     MIN_TOL,
@@ -26,6 +37,8 @@ from mzvkit.numeric import (
     zn_apply_f,
 )
 from mzvkit.regularization import RegPolynomial, z_star_polynomial
+
+from _oracles import chain_value_f_oracle
 
 
 def idx(*parts):
@@ -259,6 +272,39 @@ class TestFloatTwins:
             zn_apply_f(LinComb(), 5, "fancy")
         with pytest.raises(DomainError):
             zn_apply_f(LinComb.of_index(idx(2)), 5, "fancy")
+
+    @given(
+        st.tuples(st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), max_size=3)).filter(
+            lambda pq: sum(pq[0]) + sum(pq[1]) <= 7
+        ),
+        st.sampled_from(["harmonic", "shuffle"]),
+        st.sampled_from(["plain", "flat", "natural"]),
+        st.one_of(st.integers(1, 400), st.just(4096)),
+    )
+    @example(([1, 2], [2, 1]), "shuffle", "natural", 4096)
+    @example(([1], [2]), "harmonic", "plain", 1)
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_one_chain_at_a_time_bit_for_bit(self, pq, op, variant, n):
+        p, q = pq
+        x, y = LinComb.of_index(Index(tuple(p))), LinComb.of_index(Index(tuple(q)))
+        product = (harmonic if op == "harmonic" else shuffle)(x, y)
+        num._word_value_f.cache_clear()  # every word through the walk, none from an earlier example
+        chain_of = variant_chain(variant)
+        expected = sum(float(c) * chain_value_f_oracle(chain_of(index_of_word(w)), n) for w, c in product.items())
+        assert zn_apply_f(product, n, variant) == expected
+        assert zn_apply_f(product, n, variant) == expected  # now every word from the memo
+
+    def test_memo_keeps_variants_apart(self):
+        x = LinComb.of_index(idx(2))
+        values = {v: zn_apply_f(x, 5, v) for v in ("plain", "flat", "natural")}
+        assert values == {v: chain_value_f_oracle(variant_chain(v)(idx(2)), 5) for v in values}
+        assert values["flat"] != values["natural"]  # 205/144 and 85/144
+        assert {v: zn_apply_f(x, 5, v) for v in values} == values
+
+    def test_n_one(self):
+        for variant in ("plain", "flat", "natural"):
+            assert zn_apply_f(LinComb.of_index(idx(1, 2)), 1, variant) == 0.0
+            assert zn_apply_f(LinComb.unit(), 1, variant) == 1.0
 
     def test_real_type_validation(self):
         with pytest.raises(ValueError):
