@@ -210,7 +210,8 @@ def jset(k: Index) -> frozenset[int]:
 class LinComb:
     """A finite rational-linear combination of words, zero terms dropped."""
 
-    __slots__ = ("_terms",)
+    # _items: the canonical order of _terms, sorted on first use
+    __slots__ = ("_terms", "_items")
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         data: dict[Word, Fraction] = {}
@@ -223,7 +224,16 @@ class LinComb:
                     data[word] = new
                 else:
                     data.pop(word, None)
-        object.__setattr__(self, "_terms", data)
+        self._terms = data
+        self._items = None
+
+    @classmethod
+    def _of_terms(cls, terms: dict[Word, Fraction]) -> "LinComb":
+        """Wrap ``terms`` (non-zero ``Fraction`` values) without copying or checking it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._items = None
+        return out
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -241,9 +251,11 @@ class LinComb:
     def of_index(cls, k: Index, coeff: Scalar = 1) -> "LinComb":
         return cls.of_word(word_of_index(k), coeff)
 
-    def items(self) -> list[tuple[Word, Fraction]]:
+    def items(self) -> tuple[tuple[Word, Fraction], ...]:
         """Terms in canonical (length, packed-bits) order."""
-        return sorted(self._terms.items(), key=lambda it: it[0].sort_key())
+        if self._items is None:
+            self._items = tuple(sorted(self._terms.items(), key=lambda it: it[0].sort_key()))
+        return self._items
 
     def support(self) -> set[Word]:
         return set(self._terms)
@@ -283,14 +295,10 @@ class LinComb:
                 merged[word] = new
             else:
                 merged.pop(word, None)
-        out = LinComb.zero()
-        object.__setattr__(out, "_terms", merged)
-        return out
+        return LinComb._of_terms(merged)
 
     def __neg__(self) -> "LinComb":
-        out = LinComb.zero()
-        object.__setattr__(out, "_terms", {w: -c for w, c in self._terms.items()})
-        return out
+        return LinComb._of_terms({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -301,9 +309,7 @@ class LinComb:
         scalar = Fraction(scalar)
         if not scalar:
             return LinComb.zero()
-        out = LinComb.zero()
-        object.__setattr__(out, "_terms", {w: c * scalar for w, c in self._terms.items()})
-        return out
+        return LinComb._of_terms({w: c * scalar for w, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -363,9 +369,7 @@ def harmonic(x: LinComb, y: LinComb) -> LinComb:
                     acc[word] = new
                 else:
                     acc.pop(word, None)
-    out = LinComb.zero()
-    object.__setattr__(out, "_terms", acc)
-    return out
+    return LinComb._of_terms(acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,9 +400,7 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
                     acc[word] = new
                 else:
                     acc.pop(word, None)
-    out = LinComb.zero()
-    object.__setattr__(out, "_terms", acc)
-    return out
+    return LinComb._of_terms(acc)
 
 
 def indices_of_weight(weight: int) -> list[Index]:

@@ -1,14 +1,34 @@
 """Decomposition of H1 into H0-coefficient polynomials in T, for both products.
 
-A word w factors as v * e1^t with t its trailing-e1 count and v ending in e0
-(or empty).  The t-fold product power of e1 hits w with coefficient t! (for
-the harmonic product) or 1 (for the shuffle product applied to the plain word
-e1^t), and every other term has a strictly smaller trailing-e1 count.  Solving
-for w and recursing on the remainder terminates because that count decreases,
-and yields the unique polynomial representation with H0 coefficients.
-Specializing T to 0 gives the two regularization maps.
-"""
+Under the harmonic product (*) and under the shuffle product (sh) alike,
+every H1 element is a unique polynomial in e1 with H0 coefficients.  Writing
+T for e1 gives the decomposition; setting T to 0 gives the regularization
+maps reg_* and reg_sh.  Below, u.v is the concatenation of words u and v.
 
+Both decompositions are assembled from reg of single words.  Let delta drop
+one trailing e1 from a word and send every other word to 0.  delta is a
+derivation of both products with delta(e1) = 1, and it kills H0, so on the
+polynomials it acts as d/dT.  Hence for w = u.e1^n, u empty or ending in e0,
+the T^j coefficient of w is reg(u.e1^(n-j)) / j! under either product.
+
+reg of one word has a closed form on each side:
+
+* shuffle (Ihara-Kaneko-Zagier, Compositio Math. 142 (2006)):
+  reg_sh(v.e0.e1^m) = (-1)^m (v sh e1^m).e0, and reg_sh(e1^m) = 0 for m >= 1,
+  with the integer multiplicities of ``_shuffle_words``.
+* harmonic: reg_* is an algebra map with reg_*(e1) = 0.  The product
+  (u.e1^(n-1)) * e1 holds u.e1^n with multiplicity n, and every other word of
+  it (``_harmonic_parts`` of the two indices) has fewer trailing e1, so
+  n reg_*(u.e1^n) = -reg_*((u.e1^(n-1)) * e1 - n u.e1^n) is a triangular
+  recursion.
+
+By induction on n, n! times every T^j coefficient of u.e1^n is an integer
+combination on both sides.  So each word's decomposition is cached as
+integer numerators over n!, and a combination's is summed in integers over
+one common denominator, with one ``Fraction`` per resulting term.  The star
+side reads only ``_harmonic_parts`` and the shuffle side only
+``_shuffle_words``: neither regularization is derived from the other.
+"""
 from __future__ import annotations
 
 import functools
@@ -17,7 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import Index, LinComb, Scalar, Word, harmonic, shuffle
+from .algebra import (
+    Index,
+    LinComb,
+    Scalar,
+    Word,
+    _harmonic_parts,
+    _shuffle_words,
+    harmonic,
+    index_of_word,
+    shuffle,
+    word_of_index,
+)
 from .errors import DomainError
 
 _E1 = LinComb.of_word(Word(1, 1))
@@ -119,60 +150,91 @@ def _e1_shuffle_power(t: int) -> LinComb:
     return shuffle(_e1_shuffle_power(t - 1), _E1)
 
 
-@functools.lru_cache(maxsize=None)
-def _star_word(w: Word) -> RegPolynomial:
-    t = w.trailing_e1_count()
-    if t == 0:
-        return RegPolynomial.constant(LinComb.of_word(w))
-    v = w.drop_last(t)
-    head = harmonic(LinComb.of_word(v), _e1_harmonic_power(t))
-    fact = math.factorial(t)
-    remainder = head - LinComb.of_word(w, fact)
-    if any(u.trailing_e1_count() >= t for u in remainder.support()):
-        raise AssertionError("trailing-e1 count failed to decrease in harmonic elimination")
-    return Fraction(1, fact) * (RegPolynomial.monomial(LinComb.of_word(v), t) - star_decompose(remainder))
+# one coefficient of T as (word, integer numerator) pairs, and a word's
+# decomposition as (common denominator, one row per power of T)
+Row = tuple[tuple[Word, int], ...]
+WordRows = tuple[int, tuple[Row, ...]]
+
+
+def _word_rows(w: Word, n: int, row0: Row, word: Callable[[Word], WordRows]) -> tuple[Row, ...]:
+    # the T^j row over n! is C(n, j) times the T^0 row, over (n-j)!, of w less j trailing e1
+    return (row0,) + tuple(
+        tuple((y, math.comb(n, j) * k) for y, k in word(w.drop_last(j))[1][0]) for j in range(1, n + 1)
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def _shuffle_word(w: Word) -> RegPolynomial:
-    t = w.trailing_e1_count()
-    if t == 0:
-        return RegPolynomial.constant(LinComb.of_word(w))
-    v = w.drop_last(t)
-    head = shuffle(LinComb.of_word(v), LinComb.of_word(Word((1 << t) - 1, t)))
-    remainder = head - LinComb.of_word(w)
-    if any(u.trailing_e1_count() >= t for u in remainder.support()):
-        raise AssertionError("trailing-e1 count failed to decrease in shuffle elimination")
-    return Fraction(1, math.factorial(t)) * RegPolynomial.monomial(LinComb.of_word(v), t) - shuffle_decompose(remainder)
+def _star_word(w: Word) -> WordRows:
+    """(n!, rows): row j holds the numerators over n! of the T^j coefficient
+    of w's harmonic decomposition, n being w's trailing-e1 count."""
+    n = w.trailing_e1_count()
+    if n == 0:
+        return 1, (((w, 1),),)
+    below = math.factorial(n - 1)
+    acc: dict[Word, int] = {}
+    for parts, mult in _harmonic_parts(index_of_word(w.drop_last()).parts, (1,)):
+        v = word_of_index(Index(parts))
+        if v == w:  # multiplicity n, the left-hand side of the recursion
+            continue
+        den, rows = _star_word(v)
+        scale = -mult * (below // den)
+        for y, k in rows[0]:
+            acc[y] = acc.get(y, 0) + scale * k
+    return n * below, _word_rows(w, n, tuple((y, k) for y, k in acc.items() if k), _star_word)
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle_word(w: Word) -> WordRows:
+    """(n!, rows) as for :func:`_star_word`, for the shuffle decomposition."""
+    n = w.trailing_e1_count()
+    if n == 0:
+        return 1, (((w, 1),),)
+    row0: Row = ()
+    if n < w.length:
+        scale = math.factorial(n) * (-1) ** n
+        e1_power = Word((1 << n) - 1, n)
+        row0 = tuple((y.append(0), scale * k) for y, k in _shuffle_words(w.drop_last(n + 1), e1_power))
+    return math.factorial(n), _word_rows(w, n, row0, _shuffle_word)
+
+
+def _sum_rows(x: LinComb, word: Callable[[Word], WordRows], size: int | None = None) -> list[LinComb]:
+    """The coefficients of T^0..T^(size-1) of x, or all of them when size is None."""
+    terms = [(word(w), c) for w, c in x.items()]
+    den = math.lcm(1, *(c.denominator * d for (d, _), c in terms))
+    if size is None:
+        size = max((len(rows) for (_, rows), _ in terms), default=1)
+    acc: list[dict[Word, int]] = [{} for _ in range(size)]
+    for (d, rows), c in terms:
+        scale = c.numerator * (den // (c.denominator * d))
+        for out, row in zip(acc, rows):
+            for y, k in row:
+                out[y] = out.get(y, 0) + scale * k
+    return [LinComb._of_terms({y: Fraction(k, den) for y, k in out.items() if k}) for out in acc]
 
 
 def star_decompose(x: LinComb) -> RegPolynomial:
     """Represent an H1 element as an H0-coefficient polynomial in T, where T
     stands for e1 and polynomial structure follows the harmonic product."""
     _require_h1(x, "star_decompose")
-    acc = RegPolynomial.zero()
-    for w, c in x.items():
-        acc = acc + c * _star_word(w)
-    return acc
+    return RegPolynomial(tuple(_sum_rows(x, _star_word)))
 
 
 def shuffle_decompose(x: LinComb) -> RegPolynomial:
     """Same decomposition with the shuffle product in place of the harmonic one."""
     _require_h1(x, "shuffle_decompose")
-    acc = RegPolynomial.zero()
-    for w, c in x.items():
-        acc = acc + c * _shuffle_word(w)
-    return acc
+    return RegPolynomial(tuple(_sum_rows(x, _shuffle_word)))
 
 
 def reg_star(x: LinComb) -> LinComb:
     """Constant coefficient of the harmonic decomposition (T set to 0)."""
-    return star_decompose(x).coeff(0)
+    _require_h1(x, "reg_star")
+    return _sum_rows(x, _star_word, 1)[0]
 
 
 def reg_shuffle(x: LinComb) -> LinComb:
     """Constant coefficient of the shuffle decomposition (T set to 0)."""
-    return shuffle_decompose(x).coeff(0)
+    _require_h1(x, "reg_shuffle")
+    return _sum_rows(x, _shuffle_word, 1)[0]
 
 
 def z_star_polynomial(k: Index) -> RegPolynomial:

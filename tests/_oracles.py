@@ -4,18 +4,23 @@ These deliberately avoid the recursive implementations in the package: the
 shuffle oracle enumerates letter placements, the quasi-shuffle oracle walks
 the merge grid from the left, and both count multiplicities directly.  The
 float chain oracle is the one-chain-at-a-time DP that the package's shared
-prefix walk replaced; the walk must reproduce its floats bit for bit.
+prefix walk replaced; the walk must reproduce its floats bit for bit.  The
+decomposition oracles are the recursive elimination that the package's
+closed forms replaced; the closed forms must reproduce them exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from mzvkit.algebra import Index, LinComb, Word, word_of_index
+from mzvkit.algebra import Index, LinComb, Word, harmonic, shuffle, word_of_index
 from mzvkit.finite_sums import ConstraintChain
+from mzvkit.regularization import RegPolynomial
 
 
 def shuffle_oracle(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -78,3 +83,39 @@ def chain_value_f_oracle(chain: ConstraintChain, N: int) -> float:
         values = w * prefix
     assert values is not None
     return float(values.sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _e1_harmonic_power(t: int) -> LinComb:
+    if t == 0:
+        return LinComb.unit()
+    return harmonic(_e1_harmonic_power(t - 1), LinComb.of_word(Word(1, 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _decompose_word(w: Word, product_name: str) -> RegPolynomial:
+    """Eliminate w = v * e1^t: the t-th power of e1 times v hits w with
+    coefficient t! (harmonic) or 1 (shuffle, taking the plain word e1^t) and
+    otherwise only words with fewer trailing e1; recurse on the remainder."""
+    t = w.trailing_e1_count()
+    if t == 0:
+        return RegPolynomial.constant(LinComb.of_word(w))
+    v = w.drop_last(t)
+    if product_name == "harmonic":
+        head = harmonic(LinComb.of_word(v), _e1_harmonic_power(t))
+        lead = math.factorial(t)
+    else:
+        head = shuffle(LinComb.of_word(v), LinComb.of_word(Word((1 << t) - 1, t)))
+        lead = 1
+    remainder = head - LinComb.of_word(w, lead)
+    assert all(u.trailing_e1_count() < t for u in remainder.support())
+    monomial = RegPolynomial.monomial(LinComb.of_word(v), t)
+    return Fraction(1, math.factorial(t)) * monomial - Fraction(1, lead) * decompose_oracle(remainder, product_name)
+
+
+def decompose_oracle(x: LinComb, product_name: str) -> RegPolynomial:
+    """The H0-coefficient polynomial in T of x, by recursive elimination."""
+    acc = RegPolynomial.zero()
+    for w, c in x.items():
+        acc = acc + c * _decompose_word(w, product_name)
+    return acc

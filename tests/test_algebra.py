@@ -119,6 +119,20 @@ class TestLinComb:
         assert x - x == LinComb.zero()
         assert Fraction(1, 2) * (2 * x) == x
 
+    @given(h1_combs, h1_combs)
+    @settings(max_examples=30, deadline=None)
+    def test_items_cache_starts_empty_on_every_constructor(self, x, y):
+        x.items()  # fill the operands' caches; no result may inherit them
+        y.items()
+        made = [
+            LinComb(x.items() + y.items()), LinComb.zero(), LinComb.unit(), LinComb.of_word(Word.parse("110")),
+            x + y, x - y, -x, 3 * x, Fraction(1, 2) * y, harmonic(x, y), shuffle(x, y),
+        ]
+        for z in made:
+            assert z._items is None
+            assert z.items() == tuple(sorted(z._terms.items(), key=lambda it: it[0].sort_key()))
+            assert z.items() is z.items()
+
 
 class TestHarmonicProduct:
     def test_unit_law(self):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzvkit.algebra import Index, LinComb, Word, harmonic, shuffle, word_of_index
+import mzvkit.algebra as algebra
+import mzvkit.regularization as reg
+from mzvkit.algebra import EMPTY_WORD, Index, LinComb, Word, harmonic, shuffle, word_of_index
 from mzvkit.errors import DomainError
 from mzvkit.numeric import mzv, zeta_lt_f
 from mzvkit.regularization import (
@@ -19,6 +21,9 @@ from mzvkit.regularization import (
     z_shuffle_polynomial,
     z_star_polynomial,
 )
+from mzvkit.verification import CampaignConfig, verify_edsr
+
+from _oracles import decompose_oracle
 
 
 def idx(*parts):
@@ -36,6 +41,20 @@ small_indices = st.builds(
 h1_combs = st.builds(
     lambda pairs: LinComb((word_of_index(k), Fraction(c)) for k, c in pairs),
     st.lists(st.tuples(small_indices, st.integers(-3, 3)), max_size=3),
+)
+# longer trailing-e1 runs and rational coefficients with unlike denominators
+rational_h1_combs = st.builds(
+    lambda pairs: LinComb((word_of_index(k), c) for k, c in pairs),
+    st.lists(
+        st.tuples(
+            st.builds(
+                lambda parts: Index(tuple(parts)),
+                st.lists(st.integers(1, 3), max_size=6).filter(lambda ps: sum(ps) <= 8),
+            ),
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        ),
+        max_size=5,
+    ),
 )
 
 
@@ -158,6 +177,131 @@ class TestDecompositionLaws:
             assert shuffle_decompose(shuffle(x, y)) == poly_mul(
                 shuffle_decompose(x), shuffle_decompose(y), shuffle
             )
+
+
+def h1_words(max_length: int):
+    yield EMPTY_WORD
+    for length in range(1, max_length + 1):
+        for bits in range(1 << (length - 1)):
+            yield Word(bits | 1 << (length - 1), length)
+
+
+class TestClosedFormsMatchRecursion:
+    """The closed forms against the recursive elimination in ``_oracles``."""
+
+    def test_every_h1_word_up_to_length_ten(self):
+        for w in h1_words(10):
+            x = LinComb.of_word(w)
+            assert star_decompose(x) == decompose_oracle(x, "harmonic"), w
+            assert shuffle_decompose(x) == decompose_oracle(x, "shuffle"), w
+
+    @given(rational_h1_combs)
+    @settings(max_examples=60, deadline=None)
+    def test_combinations(self, x):
+        star = star_decompose(x)
+        sh = shuffle_decompose(x)
+        assert star == decompose_oracle(x, "harmonic")
+        assert sh == decompose_oracle(x, "shuffle")
+        assert reg_star(x) == star.coeff(0)
+        assert reg_shuffle(x) == sh.coeff(0)
+
+    def test_zero(self):
+        assert star_decompose(LinComb.zero()).is_zero and shuffle_decompose(LinComb.zero()).is_zero
+        assert reg_star(LinComb.zero()) == LinComb.zero() == reg_shuffle(LinComb.zero())
+
+    def test_reg_requires_h1(self):
+        x = LinComb.of_word(Word.parse("01"))
+        for fn in (reg_star, reg_shuffle):
+            with pytest.raises(DomainError):
+                fn(x)
+
+
+@pytest.fixture
+def cold_word_caches():
+    """Empty the per-word caches before and after, so that the test computes
+    every word itself and leaves nothing it computed to later tests."""
+    reg._star_word.cache_clear()
+    reg._shuffle_word.cache_clear()
+    yield
+    reg._star_word.cache_clear()
+    reg._shuffle_word.cache_clear()
+
+
+def _raiser(*args, **kwargs):
+    raise AssertionError("this regularization must not call the other product")
+
+
+def _defects():
+    # EDSR-style defects with trailing e1 runs up to 3
+    out = []
+    for k in ((1,), (1, 1), (2, 1), (1, 1, 1), (1, 2, 1, 1)):
+        for l in ((2,), (1, 2), (3,)):
+            x, y = LinComb.of_index(Index(k)), LinComb.of_index(Index(l))
+            out.append(harmonic(x, y) - shuffle(x, y))
+    return out
+
+
+@pytest.mark.usefixtures("cold_word_caches")
+class TestIndependence:
+    """Neither regularization is derived from the other product."""
+
+    def test_star_side_never_shuffles(self, monkeypatch):
+        defects = _defects()
+        expected = [decompose_oracle(x, "harmonic") for x in defects]
+        for module in (algebra, reg):
+            monkeypatch.setattr(module, "shuffle", _raiser)
+            monkeypatch.setattr(module, "_shuffle_words", _raiser)
+        for x, poly in zip(defects, expected):
+            assert star_decompose(x) == poly
+            assert reg_star(x) == poly.coeff(0)
+
+    def test_shuffle_side_never_takes_harmonic_products(self, monkeypatch):
+        defects = _defects()
+        expected = [decompose_oracle(x, "shuffle") for x in defects]
+        for module in (algebra, reg):
+            monkeypatch.setattr(module, "harmonic", _raiser)
+            monkeypatch.setattr(module, "_harmonic_parts", _raiser)
+        for x, poly in zip(defects, expected):
+            assert shuffle_decompose(x) == poly
+            assert reg_shuffle(x) == poly.coeff(0)
+
+
+def _sabotage(monkeypatch, name: str, target: Word) -> None:
+    """Add 1 to the first T^0 numerator of ``target`` in the per-word cache ``name``."""
+    original = getattr(reg, name)
+
+    def word(w):
+        den, rows = original(w)
+        if w == target:
+            (y, k), *rest = rows[0]
+            rows = (((y, k + 1), *rest),) + rows[1:]
+        return den, rows
+
+    monkeypatch.setattr(reg, name, word)
+
+
+@pytest.mark.usefixtures("cold_word_caches")
+class TestSabotagedNumeratorIsCaught:
+    """One wrong numerator fails the matching EDSR claim at the default
+    config and breaks the round trip through :func:`reconstruct`."""
+
+    # a word of the defect of w1 = (2,1), w0 = (2), which CampaignConfig() checks
+    TARGET = word_of_index(Index((2, 2, 1)))
+
+    @pytest.mark.parametrize(
+        "name, claim, decompose, product",
+        [
+            ("_star_word", "thm-edsr-star", star_decompose, "harmonic"),
+            ("_shuffle_word", "thm-edsr-sh", shuffle_decompose, "shuffle"),
+        ],
+    )
+    def test_sabotage(self, monkeypatch, name, claim, decompose, product):
+        _sabotage(monkeypatch, name, self.TARGET)
+        verdicts = {r.claim_id: r.passed for r in verify_edsr(CampaignConfig())}
+        assert verdicts[claim] is False
+        assert all(passed for other, passed in verdicts.items() if other != claim)
+        x = LinComb.of_word(self.TARGET)
+        assert reconstruct(decompose(x), product) != x
 
 
 def test_constant_polynomial_matches_numeric_limit():
