@@ -20,8 +20,8 @@ from .errors import CapExceededError, DomainError
 from .verification import (
     OUT_OF_SCOPE_CLAIMS,
     CampaignConfig,
-    campaign_for_claim,
     run_all,
+    verify_claim,
     write_reports,
 )
 
@@ -155,8 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim in OUT_OF_SCOPE_CLAIMS:
         print(f"{args.claim} is out of scope: {OUT_OF_SCOPE_CLAIMS[args.claim]}", file=sys.stderr)
         return 2
-    campaign = campaign_for_claim(args.claim)
-    reports = [r for r in campaign(cfg) if r.claim_id == args.claim]
+    reports = verify_claim(cfg, args.claim)
     write_reports(reports, cfg)
     for report in reports:
         print(f"{report.claim_id}: {report.verdict.upper()} "

@@ -12,8 +12,13 @@ The float chain sums run the same prefix-trie walk as the exact ones
 (:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).
 :func:`zn_apply_f` keeps each word's float per (N, variant) for later calls
 and passes the words it has not seen there through :func:`chain_value_f`, in
-one walk.  Every float equals that of
-evaluating each chain on its own: the same power per weight, the same
+one walk.  The weight rows are slices of one read-only table of m ** -e per
+exponent e, shared by every walk: n ** -b over n = 1..N-1 is the table's
+first N - 1 entries and (N - n) ** -a the same slice reversed.  A table grows
+by powering only its new entries, and each walk trims the tables to its own
+exponents, so that memory follows the latest walk.  Every float equals that
+of evaluating each chain on its own: the same power per weight (numpy's
+``pow`` of a value does not depend on where it sits in an array), the same
 sequential ``cumsum``, ``.sum()`` over the whole last row, and the words
 combined as ``float(c) * value`` in term order.
 """
@@ -229,27 +234,48 @@ def eval_reg_polynomial(p, t: float, tol: float = DEFAULT_LI_TOL) -> Real:
 # ---------------------------------------------------------------------------
 # the chain DP in float64, for N far beyond exact-rational reach
 
+# m ** -e for m = 1, 2, ... per exponent e, read-only; FloatRows grows it and
+# trims it to the exponents of the latest walk
+_INVERSE_POWERS: dict[int, np.ndarray] = {}
+_NO_POWERS = np.empty(0)
+
+
 class FloatRows:
     """The float64 arithmetic of :class:`mzvkit.finite_sums.ChainWalk` at N.
 
-    Row entry n - 1 belongs to the summation value n.  A weight row computes
-    only its non-zero power: the other factor, x ** -0.0, is exactly 1.0, so
-    leaving it out changes no float.  The prefix sums are one sequential
-    ``cumsum`` and a chain's sum is ``.sum()`` over its whole last row.
+    Row entry n - 1 belongs to the summation value n.  ``exponents`` are the
+    non-zero exponents of the chains to be walked.  Each weight row is a
+    read-only view of the shared table of its exponent (reversed for the
+    factor (N - n) ** -a), or one product of two such views when a and b are
+    both non-zero: the factor x ** -0.0 is exactly 1.0, so leaving it out
+    changes no float.  The views keep their tables alive, so a walk still
+    works after a later one has trimmed the shared tables.  The prefix sums
+    are one sequential ``cumsum`` and a chain's sum is ``.sum()`` over its
+    whole last row.
     """
 
     one = 1.0
 
-    def __init__(self, N: int) -> None:
-        self.n = np.arange(1, N, dtype=np.float64)
-        self.rev = np.float64(N) - self.n
+    def __init__(self, N: int, exponents: Iterable[int]) -> None:
+        wanted = set(exponents)
+        for e in _INVERSE_POWERS.keys() - wanted:
+            del _INVERSE_POWERS[e]
+        self.powers: dict[int, np.ndarray] = {}
+        for e in wanted:
+            table = _INVERSE_POWERS.get(e, _NO_POWERS)
+            if len(table) < N - 1:
+                grown = np.arange(len(table) + 1, N, dtype=np.float64) ** float(-e)
+                table = np.concatenate((table, grown)) if len(table) else grown
+                table.flags.writeable = False
+                _INVERSE_POWERS[e] = table
+            self.powers[e] = table[: N - 1]
 
     def weights(self, a: int, b: int) -> np.ndarray:
         if b == 0:
-            return self.rev ** float(-a)
+            return self.powers[a][::-1]
         if a == 0:
-            return self.n ** float(-b)
-        return self.rev ** float(-a) * self.n ** float(-b)
+            return self.powers[b]
+        return self.powers[a][::-1] * self.powers[b]
 
     def step(self, weights: np.ndarray, values: np.ndarray, strict: bool) -> np.ndarray:
         """Each weight times the sum of the values below (strict) or up to (non-strict) its n."""
@@ -266,16 +292,22 @@ class FloatRows:
         return float(values.sum())
 
 
+def _exponents(chains: Iterable[ConstraintChain]) -> set[int]:
+    """The non-zero weight exponents of these chains."""
+    return {e for chain in chains for step in chain.steps for e in (step.a, step.b) if e}
+
+
 def chain_value_f(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> float:
     """Chain sum over 0 < n_1 R n_2 R ... R n_k < N in float64.
 
-    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over ``FloatRows(N)``,
-    continues from the chains evaluated in it before.
+    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over a ``FloatRows(N,
+    exponents)`` that covers this chain's exponents, continues from the
+    chains evaluated in it before.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
     if walk is None:
-        walk = ChainWalk(FloatRows(N))
+        walk = ChainWalk(FloatRows(N, _exponents([chain])))
     return walk.value(chain.steps)
 
 
@@ -313,7 +345,8 @@ def zn_apply_f(x: LinComb, N: int, variant: str = "plain") -> float:
     terms = x.items()
     unseen = sorted(((chain_of(w), w) for w, _ in terms if w not in known), key=lambda item: item[0].steps)
     if unseen:
-        walk = ChainWalk(FloatRows(N))  # in sorted order the chains walk their prefix trie
+        # in sorted order the chains walk their prefix trie
+        walk = ChainWalk(FloatRows(N, _exponents(chain for chain, _ in unseen)))
         for chain, w in unseen:
             known[w] = chain_value_f(chain, N, walk)
     return sum(float(c) * known[w] for w, c in terms)

@@ -26,6 +26,7 @@ from . import regularization as reg
 from .algebra import (
     Index,
     LinComb,
+    Word,
     admissible_indices_up_to,
     harmonic,
     index_of_word,
@@ -422,18 +423,27 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     return [_report(cfg, "prop-asymp-Li", params, check, indices)]
 
 
-def _z_value(x: LinComb) -> tuple[float, float]:
+def _z_value(x: LinComb, zetas: dict[Word, num.Real]) -> tuple[float, float]:
+    """The MZV of an H0 combination and its error bound; ``zetas`` memoizes each word's MZV."""
     value = 0.0
     err = 0.0
     for w, c in x.items():
-        zeta = num.mzv(index_of_word(w), num.DEFAULT_MZV_TOL)
+        zeta = zetas.get(w)
+        if zeta is None:
+            zeta = zetas[w] = num.mzv(index_of_word(w), num.DEFAULT_MZV_TOL)
         value += float(c) * zeta.value
         err += abs(float(c)) * zeta.error_bound
     return value, err
 
 
-def verify_edsr(cfg: CampaignConfig) -> list[Report]:
-    """Both regularizations annihilate the product defect numerically."""
+EDSR_SIDES = {"thm-edsr-star": "star", "thm-edsr-sh": "shuffle"}
+
+
+def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) -> list[Report]:
+    """Both regularizations annihilate the product defect numerically.
+
+    ``claims`` picks the sides to check, so that one claim computes only its own.
+    """
     lefts = indices_up_to_weight(cfg.max_weight, include_empty=True)
     rights = admissible_indices_up_to(cfg.max_weight, include_empty=True)
     pairs = [(k, l) for k in lefts for l in rights]
@@ -444,7 +454,7 @@ def verify_edsr(cfg: CampaignConfig) -> list[Report]:
             LinComb.of_index(k), LinComb.of_index(l)
         )
         regularized = reg.reg_star(diff) if which == "star" else reg.reg_shuffle(diff)
-        value, err = _z_value(regularized)
+        value, err = _z_value(regularized, zetas)
         residual = abs(value)
         return Case(
             key=f"w1=({k});w0=({l})",
@@ -453,10 +463,11 @@ def verify_edsr(cfg: CampaignConfig) -> list[Report]:
             detail={"residual": residual, "errorBound": err, "tol": cfg.edsr_tol, "terms": len(regularized)},
         )
 
+    zetas: dict[Word, num.Real] = {}
     params = {"maxWeight": cfg.max_weight, "tol": cfg.edsr_tol, "mzvTol": num.DEFAULT_MZV_TOL}
     return [
-        _report(cfg, claim_id, params, check, [(k, l, which) for k, l in pairs])
-        for claim_id, which in (("thm-edsr-star", "star"), ("thm-edsr-sh", "shuffle"))
+        _report(cfg, claim_id, params, check, [(k, l, EDSR_SIDES[claim_id]) for k, l in pairs])
+        for claim_id in claims
     ]
 
 
@@ -495,6 +506,15 @@ def campaign_for_claim(claim_id: str) -> Callable[[CampaignConfig], list[Report]
             f"claim {claim_id!r} is recorded as out of scope: {OUT_OF_SCOPE_CLAIMS[claim_id]}"
         )
     raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
+
+
+def verify_claim(cfg: CampaignConfig, claim_id: str) -> list[Report]:
+    """The report of one claim.  The EDSR campaign checks only that claim's
+    side; other campaigns run whole and the reports of their other claims are dropped."""
+    campaign = campaign_for_claim(claim_id)
+    if campaign is verify_edsr:
+        return verify_edsr(cfg, (claim_id,))
+    return [r for r in campaign(cfg) if r.claim_id == claim_id]
 
 
 def write_reports(reports: Sequence[Report], cfg: CampaignConfig) -> list[Path]:

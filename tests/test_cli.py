@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mzvkit import regularization as reg
 from mzvkit.cli import _parse_schedule, main, parse_operand
 from mzvkit.algebra import Index, LinComb, Word
 from mzvkit.errors import DomainError
@@ -85,6 +86,16 @@ class TestCommands:
         assert code == 0
         report = json.loads((tmp_path / "thm-msw.json").read_text())
         assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("claim, other_side", [("thm-edsr-star", "reg_shuffle"), ("thm-edsr-sh", "reg_star")])
+    def test_verify_edsr_claim_checks_only_its_side(self, claim, other_side, tmp_path, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError(f"{claim} computed the other regularization")
+
+        monkeypatch.setattr(reg, other_side, refuse)
+        assert main(["verify", claim, "--max-weight", "2", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"{claim}.json"]
+        assert f"{claim}: PASS" in capsys.readouterr().out
 
     def test_verify_out_of_scope_claim(self, capsys):
         assert main(["verify", "thm-regularization-rho"]) == 2

@@ -19,11 +19,21 @@ from mzvkit.algebra import (
     word_of_index,
 )
 from mzvkit.errors import DomainError
-from mzvkit.finite_sums import RArgs, r_value, variant_chain, zeta_flat, zeta_lt, zeta_natural
+from mzvkit.finite_sums import (
+    ChainWalk,
+    ConstraintChain,
+    RArgs,
+    r_value,
+    variant_chain,
+    zeta_flat,
+    zeta_lt,
+    zeta_natural,
+)
 from mzvkit.numeric import (
     EULER_GAMMA,
     MIN_TOL,
     Real,
+    chain_value_f,
     euler_gamma,
     eval_reg_polynomial,
     fit_log_rate,
@@ -311,3 +321,57 @@ class TestFloatTwins:
             Real(1.0, -1.0)
         assert float(Real(2.0, 0.1)) == 2.0
         assert Real(2.0, 0.1).serialize() == {"value": "2.0", "errorBound": "0.1"}
+
+
+class TestInversePowerTable:
+    """The weight rows are views of one shared table per exponent, which every
+    walk grows and trims; the floats must not depend on the table's history."""
+
+    @staticmethod
+    def _check(x, n, variant):
+        chain_of = variant_chain(variant)
+        chains = [chain_of(index_of_word(w)) for w, _ in x.items()]
+        num._word_value_f.cache_clear()  # every word through the walk
+        assert zn_apply_f(x, n, variant) == sum(
+            float(c) * chain_value_f_oracle(chain, n) for (_, c), chain in zip(x.items(), chains)
+        )
+        wanted = {e for chain in chains for step in chain.steps for e in (step.a, step.b) if e}
+        assert set(num._INVERSE_POWERS) <= wanted  # trimmed to this walk's exponents
+        assert all(len(num._INVERSE_POWERS.get(e, ())) >= n - 1 for e in wanted)
+
+    def test_grow_trim_and_regrow_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(num, "_INVERSE_POWERS", {})
+        x = LinComb.of_index(idx(1, 2))
+        combos = [
+            x,
+            LinComb.of_index(idx(3)),
+            harmonic(x, LinComb.of_index(idx(2, 1))),
+            shuffle(LinComb.of_index(idx(4)), LinComb.of_index(idx(1))),
+            LinComb.of_index(idx(2, 1, 3)),
+        ]
+        variants = ("plain", "flat", "natural")
+        schedule = [16 << i for i in range(7)] + [100, 23, 3000]  # doubling, then smaller and larger
+        for i, n in enumerate(schedule):
+            self._check(combos[i % len(combos)], n, variants[i % len(variants)])
+
+    def test_n_one_and_two(self, monkeypatch):
+        monkeypatch.setattr(num, "_INVERSE_POWERS", {})
+        x = harmonic(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(3)))
+        for n in (1, 2, 1, 50, 2, 1):
+            for variant in ("plain", "flat", "natural"):
+                self._check(x, n, variant)
+
+    def test_walk_outlives_a_later_trim(self):
+        chain = ConstraintChain.from_rargs(RArgs.parse("2,1;1,3"))
+        walk = ChainWalk(num.FloatRows(300, {1, 2, 3}))
+        assert zeta_lt_f(idx(5), 1000) == chain_value_f_oracle(ConstraintChain.plain(idx(5)), 1000)
+        assert set(num._INVERSE_POWERS) == {5}  # the tables of the earlier walk are gone
+        assert chain_value_f(chain, 300, walk) == chain_value_f_oracle(chain, 300)
+
+    def test_table_slices_are_read_only(self):
+        rows = num.FloatRows(10, {1, 2})
+        for row in (rows.weights(0, 1), rows.weights(2, 0), num._INVERSE_POWERS[1]):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        product = rows.weights(1, 2)  # a product of two views is a fresh row
+        assert product[0] == 9.0 ** -1 * 1.0 and product.flags.writeable

@@ -92,6 +92,14 @@ class TestCampaignsPass:
         assert star.claim_id == "thm-edsr-star" and sh.claim_id == "thm-edsr-sh"
         assert star.passed and sh.passed
 
+    def test_edsr_one_side_and_one_mzv_per_word(self, monkeypatch):
+        calls = []
+        mzv = num.mzv
+        monkeypatch.setattr(num, "mzv", lambda k, tol: calls.append(k) or mzv(k, tol))
+        (sh,) = verify_edsr(FAST, ("thm-edsr-sh",))
+        assert sh.claim_id == "thm-edsr-sh" and sh.passed
+        assert calls and len(calls) == len(set(calls))  # each word's MZV taken once
+
     def test_minimal_weight_one_config(self):
         cfg = CampaignConfig(max_weight=1)
         star, sh = verify_edsr(cfg)
