@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         diff = harmonic(LinComb.of_index(k1), LinComb.of_index(k0)) - shuffle(
             LinComb.of_index(k1), LinComb.of_index(k0)
         )
-        residuals = [(n, abs(zn_apply_f(diff, n, "plain"))) for n in schedule]
+        residuals = [(n, abs(value)) for n, value in zip(schedule, zn_apply_f(diff, schedule, "plain"))]
         fit = fit_log_rate(residuals, a_max=k1.weight + k0.weight + 1)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

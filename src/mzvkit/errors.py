@@ -6,4 +6,4 @@ class DomainError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A brute-force enumeration was refused because it exceeds its safety caps."""
+    """A brute-force enumeration or a series was stopped at one of its safety caps."""

@@ -19,21 +19,29 @@ by powering only its new entries, and each walk trims the tables to its own
 exponents, so that memory follows the latest walk.  Every float equals that
 of evaluating each chain on its own: the same power per weight (numpy's
 ``pow`` of a value does not depend on where it sits in an array), the same
-sequential ``cumsum``, ``.sum()`` over the whole last row, and the words
-combined as ``float(c) * value`` in term order.
+sequential ``cumsum``, ``.sum()`` over the N - 1 entries of the last row, and
+the words combined as ``float(c) * value`` in term order.
+
+The rate campaigns evaluate whole grids in one call.  :func:`zn_apply_f`
+takes a sequence of N: plain chains, whose rows at N are prefixes of their
+rows at any larger N, are walked once at the largest N and read at every N
+of the grid.  :func:`li_value` takes a sequence of z and builds the inner
+sums of each chunk of its series, which do not depend on z, once for every
+point.  Both give the floats of their one-point calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, word_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -43,6 +51,7 @@ DEFAULT_MZV_TOL = 1e-7
 DEFAULT_LI_TOL = 1e-9
 RATE_SLACK = 1.25  # factor a normalized residual may rise over its running minimum in a rate fit
 HALF_POINT_TERMS = 64  # terms of each half-point series at tier 0
+LI_TERM_CAP = 1 << 27  # terms li_value sums before it gives up on a point
 
 
 @dataclass(frozen=True)
@@ -170,24 +179,44 @@ def euler_gamma() -> Real:
     return Real(float(EULER_GAMMA), 4e-16)
 
 
-def li_value(k: Index | Iterable[int], z: float, tol: float = DEFAULT_LI_TOL) -> Real:
-    """Nested polylogarithm via its power series, truncated by a geometric tail bound."""
+def _grid(x) -> tuple[list, bool]:
+    """The points of a scalar or sequence argument, and whether it was a scalar."""
+    return ([x], True) if isinstance(x, numbers.Real) else (list(x), False)
+
+
+def li_value(
+    k: Index | Iterable[int], z: float | Sequence[float], tol: float = DEFAULT_LI_TOL
+) -> Real | list[Real]:
+    """Nested polylogarithm Li_k(z) via its power series, truncated by a geometric tail bound.
+
+    ``z`` is one point or a sequence of points; a sequence gives one
+    :class:`Real` per point.  The series runs in chunks of terms, and the
+    inner sums of a chunk, which do not depend on z, are built once for every
+    point still summing.  Each point stops at the chunk where it would stop
+    alone, so every float equals that of a call at the point on its own.  A
+    point whose tail bound is still at least ``tol / 2`` after
+    :data:`LI_TERM_CAP` terms raises :class:`~mzvkit.errors.CapExceededError`.
+    """
     k = as_index(k)
-    if not (0.0 < z < 1.0):
+    zs, scalar = _grid(z)
+    if not all(0.0 < x < 1.0 for x in zs):
         raise DomainError("z must lie strictly between 0 and 1")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    if not k.parts:
-        return Real(1.0, 0.0)
-    parts = k.parts
-    depth = len(parts)
-    carries = [0.0] * (depth - 1)
-    total = 0.0
+    values = _li_series(k.parts, zs, tol) if k.parts else [Real(1.0, 0.0) for _ in zs]
+    return values[0] if scalar else values
+
+
+def _li_series(parts: tuple[int, ...], zs: list[float], tol: float) -> list[Real]:
+    """The power series of :func:`li_value` at every point of ``zs`` in one pass."""
+    totals = [0.0] * len(zs)
+    tails = [0.0] * len(zs)
+    running = list(range(len(zs)))
+    carries = [0.0] * (len(parts) - 1)
     inner_peak = 1.0
     chunk = 1 << 14
     lo = 1
-    terms_used = 0
-    while True:
+    while running:
         n = np.arange(lo, lo + chunk, dtype=np.float64)
         g = np.ones_like(n)
         for i, part in enumerate(parts[:-1]):
@@ -195,20 +224,21 @@ def li_value(k: Index | Iterable[int], z: float, tol: float = DEFAULT_LI_TOL) ->
             csum = np.cumsum(term)
             g = carries[i] + csum - term
             carries[i] += float(csum[-1])
-        total += float(np.sum(z ** n * g * n ** float(-parts[-1])))
-        if depth > 1:
+        last = n ** float(-parts[-1])
+        if len(parts) > 1:
             inner_peak = max(inner_peak, float(g[-1]))
         lo += chunk
-        terms_used += chunk
-        # crude but safe: inner prefix sums grow logarithmically, the factor 4
-        # dominates that growth over the remaining effective range
-        tail = (z ** lo) / (1.0 - z) * max(inner_peak, 1.0) * 4.0
-        if tail < tol / 2.0:
-            break
-        if terms_used > 1 << 27:
-            raise RuntimeError(f"series for z={z} did not reach tolerance {tol}")
-    err = tail + 1e-14 * (1.0 + abs(total))
-    return Real(total, err)
+        for j in running:
+            totals[j] += float(np.sum(zs[j] ** n * g * last))
+            # crude but safe: inner prefix sums grow logarithmically, the factor 4
+            # dominates that growth over the remaining effective range
+            tails[j] = (zs[j] ** lo) / (1.0 - zs[j]) * max(inner_peak, 1.0) * 4.0
+        running = [j for j in running if not tails[j] < tol / 2.0]
+        if running and lo - 1 > LI_TERM_CAP:
+            raise CapExceededError(
+                f"series for z={zs[running[0]]} did not reach tolerance {tol} within {lo - 1} terms"
+            )
+    return [Real(total, tail + 1e-14 * (1.0 + abs(total))) for total, tail in zip(totals, tails)]
 
 
 def eval_reg_polynomial(p, t: float, tol: float = DEFAULT_LI_TOL) -> Real:
@@ -292,6 +322,28 @@ class FloatRows:
         return float(values.sum())
 
 
+class _GridRows(FloatRows):
+    """:class:`FloatRows` at the largest N of a sorted grid ``ns``, whose chain
+    sums are read at every N of the grid: a chain's total is the tuple of the
+    sums of the first N - 1 entries of its last row.
+
+    That is the chain's sum at N when no step has an (N - n) ** -a weight, as
+    in a plain chain: its weight rows at N are the first N - 1 entries of
+    those at any larger N, sequential ``cumsum`` and elementwise products keep
+    prefixes, and ``.sum()`` of a contiguous prefix equals that of the same
+    row on its own, so every float is bit-for-bit that of a walk at N.  With a
+    one-point grid it is the walk at that N.
+    """
+
+    def __init__(self, ns: Sequence[int], exponents: Iterable[int]) -> None:
+        super().__init__(ns[-1], exponents)
+        self.ns = ns
+        self.one = (1.0,) * len(ns)
+
+    def total(self, values: np.ndarray, steps: tuple[Step, ...]) -> tuple[float, ...]:
+        return tuple(float(values[: n - 1].sum()) for n in self.ns)
+
+
 def _exponents(chains: Iterable[ConstraintChain]) -> set[int]:
     """The non-zero weight exponents of these chains."""
     return {e for chain in chains for step in chain.steps for e in (step.a, step.b) if e}
@@ -335,21 +387,34 @@ def _word_value_f(N: int, variant: str) -> dict[Word, float]:
     return {}
 
 
-def zn_apply_f(x: LinComb, N: int, variant: str = "plain") -> float:
-    """Float64 twin of :func:`mzvkit.finite_sums.zn_apply`; the words not
-    evaluated before at (N, variant) share one walk."""
+def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> float | list[float]:
+    """Float64 twin of :func:`mzvkit.finite_sums.zn_apply`.
+
+    ``N`` is one value or a sequence of them; a sequence gives one float per
+    N.  Each word's float is kept per (N, variant) for later calls.  The words
+    missing at some N share one walk: for the plain variant one walk at the
+    largest N of the grid, read at each N as the sum of the first N - 1
+    entries of the chain's last row (see :class:`_GridRows`), and for flat and
+    natural chains, whose (N - n) ** -a weights change with N, one walk per N.
+    """
     chain_of = word_chain(x, variant)
-    if N < 1:
+    ns, scalar = _grid(N)
+    if min(ns, default=1) < 1:
         raise DomainError("N must be a positive integer")
-    known = _word_value_f(N, variant)
+    known = {n: _word_value_f(n, variant) for n in sorted(set(ns))}
     terms = x.items()
-    unseen = sorted(((chain_of(w), w) for w, _ in terms if w not in known), key=lambda item: item[0].steps)
-    if unseen:
-        # in sorted order the chains walk their prefix trie
-        walk = ChainWalk(FloatRows(N, _exponents(chain for chain, _ in unseen)))
-        for chain, w in unseen:
-            known[w] = chain_value_f(chain, N, walk)
-    return sum(float(c) * known[w] for w, c in terms)
+    for group in [list(known)] if variant == "plain" else [[n] for n in known]:
+        tables = [known[n] for n in group]
+        missing = {w: None for table in tables for w, _ in terms if w not in table}
+        if missing:
+            # in sorted order the chains walk their prefix trie
+            unseen = sorted(((chain_of(w), w) for w in missing), key=lambda item: item[0].steps)
+            walk = ChainWalk(_GridRows(group, _exponents(chain for chain, _ in unseen)))
+            for chain, w in unseen:
+                for table, value in zip(tables, chain_value_f(chain, group[-1], walk)):
+                    table[w] = value
+    values = [sum(float(c) * known[n][w] for w, c in terms) for n in ns]
+    return values[0] if scalar else values
 
 
 def harmonic_number_f(n: int) -> float:

@@ -34,7 +34,7 @@ from .algebra import (
     indices_up_to_weight,
     shuffle,
 )
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 DEFAULT_SCHEDULE = tuple(2 ** e for e in range(4, 15))  # 16 .. 16384
 MSW_N_CAP = 60  # thm-msw's exact sweep keeps the schedule entries up to this N
@@ -365,7 +365,7 @@ def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
         diff = harmonic(LinComb.of_index(k), LinComb.of_index(l)) - shuffle(
             LinComb.of_index(k), LinComb.of_index(l)
         )
-        residuals = [(n, num.zn_apply_f(diff, n, "plain")) for n in cfg.n_schedule]
+        residuals = list(zip(cfg.n_schedule, num.zn_apply_f(diff, cfg.n_schedule, "plain")))
         inputs = {"w1": str(k), "w0": str(l)}
         return _rate_case(f"w1=({k});w0=({l})", inputs, residuals, k.weight + l.weight + 1, terms=len(diff))
 
@@ -409,14 +409,17 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
 
     def check(k: Index) -> Case:
         poly = reg.z_shuffle_polynomial(k)
+        zs = [1.0 - 0.5 ** e for e in exponents]
+        key, inputs = f"k=({k})", {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
+        try:
+            observed = num.li_value(k, zs)
+        except CapExceededError as exc:
+            return Case(key, inputs, False, {"error": str(exc), "polynomialDegree": poly.degree})
         residuals = []
-        for e in exponents:
-            z = 1.0 - 0.5 ** e
+        for e, z, value in zip(exponents, zs, observed):
             predicted = num.eval_reg_polynomial(poly, -math.log1p(-z))
-            observed = num.li_value(k, z)
-            residuals.append((1 << e, observed.value - predicted.value))
-        inputs = {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
-        return _rate_case(f"k=({k})", inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
+            residuals.append((1 << e, value.value - predicted.value))
+        return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
     params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK}
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)

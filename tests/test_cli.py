@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mzvkit import numeric as num
 from mzvkit import regularization as reg
 from mzvkit.cli import _parse_schedule, main, parse_operand
 from mzvkit.algebra import Index, LinComb, Word
@@ -115,6 +116,14 @@ class TestCommands:
         assert "thm-main: FAIL (0 cases" in capsys.readouterr().out
         report = json.loads((tmp_path / "thm-main.json").read_text())
         assert report["verdict"] == "fail" and report["cases"] == []
+
+    def test_capped_polylog_series_fails_the_claim_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 19)  # (1,1) needs more terms at z = 1 - 2^-14
+        assert main(["verify", "prop-asymp-Li", "--max-weight", "2", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "prop-asymp-Li: FAIL (4 cases" in out and "Traceback" not in out + err
+        report = json.loads((tmp_path / "prop-asymp-Li.json").read_text())
+        assert [c["case"] for c in report["cases"] if not c["passed"]] == ["k=(1,1)"]
 
     def test_verify_asymp_shuffle_past_the_brute_force_cap(self, capsys):
         assert main(["verify", "prop-asymp-shuffle", "--max-weight", "4", "--n-schedule", "16:256"]) == 0

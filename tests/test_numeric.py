@@ -18,7 +18,7 @@ from mzvkit.algebra import (
     shuffle,
     word_of_index,
 )
-from mzvkit.errors import DomainError
+from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import (
     ChainWalk,
     ConstraintChain,
@@ -186,6 +186,43 @@ class TestLiValue:
             li_value(idx(2), 0.5, 0.0)
 
 
+class TestLiGrid:
+    """A z grid sums the series once, and each point's floats equal those of its own call."""
+
+    campaign_grid = [1.0 - 0.5 ** e for e in range(4, 15)]  # prop-asymp-Li's z grid at the default schedule
+
+    @staticmethod
+    def _floats(reals):
+        return [(r.value, r.error_bound) for r in reals]
+
+    @pytest.mark.parametrize("k", indices_up_to_weight(4, include_empty=True), ids=str)
+    def test_campaign_grid_equals_each_point(self, k):
+        grid = li_value(k, self.campaign_grid)
+        assert self._floats(grid) == self._floats(li_value(k, z) for z in self.campaign_grid)
+
+    def test_unsorted_repeated_and_one_point_grids(self):
+        zs = [0.999, 0.3, 1.0 - 2.0 ** -12, 0.3, 0.75]
+        for k in (idx(2), idx(1, 2), idx(3, 1, 1)):
+            assert self._floats(li_value(k, zs)) == self._floats(li_value(k, z) for z in zs)
+            assert self._floats(li_value(k, (0.9,))) == self._floats([li_value(k, 0.9)])
+            assert li_value(k, []) == []
+        assert li_value(idx(), zs) == [Real(1.0, 0.0)] * len(zs)
+
+    def test_grid_domain_errors(self):
+        for k in (idx(), idx(2)):
+            for zs in ([0.5, 1.0], [0.0, 0.5], [0.5, float("nan")], [-0.25], [0.5, 2.0]):
+                with pytest.raises(DomainError):
+                    li_value(k, zs)
+
+    def test_term_cap_raises_naming_the_point(self, monkeypatch):
+        monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 15)
+        assert li_value(idx(2), 0.5).value == li_value(idx(2), [0.5])[0].value  # within the cap
+        z = 1.0 - 2.0 ** -14  # needs about 33 chunks of 2^14 terms
+        for arg in (z, [0.5, z, 0.25]):
+            with pytest.raises(CapExceededError, match=rf"z={z!r} .* within 49152 terms"):
+                li_value(idx(2), arg)
+
+
 class TestEulerGamma:
     def test_documented_value(self):
         assert abs(euler_gamma().value - 0.5772156649015329) < 1e-15
@@ -321,6 +358,80 @@ class TestFloatTwins:
             Real(1.0, -1.0)
         assert float(Real(2.0, 0.1)) == 2.0
         assert Real(2.0, 0.1).serialize() == {"value": "2.0", "errorBound": "0.1"}
+
+
+class TestNGrid:
+    """zn_apply_f over an N grid equals its scalar calls and reads and fills the same memo."""
+
+    @staticmethod
+    def _fresh(x, n, variant):
+        num._word_value_f.cache_clear()
+        return zn_apply_f(x, n, variant)
+
+    @given(
+        st.tuples(st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), max_size=3)).filter(
+            lambda pq: sum(pq[0]) + sum(pq[1]) <= 6
+        ),
+        st.sampled_from(["harmonic", "shuffle", "defect"]),
+        st.sampled_from(["plain", "flat", "natural"]),
+        st.lists(st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 1024])), max_size=6),
+    )
+    @example(([1], [2]), "defect", "plain", [1, 2, 2, 1024, 16, 1])
+    @example(([1, 2], [2]), "defect", "natural", [300, 2, 1, 300])
+    @settings(max_examples=60, deadline=None)
+    def test_grid_equals_scalar_calls_in_a_fresh_memo(self, pq, op, variant, ns):
+        x, y = (LinComb.of_index(Index(tuple(p))) for p in pq)
+        products = {"harmonic": harmonic, "shuffle": shuffle, "defect": lambda x, y: harmonic(x, y) - shuffle(x, y)}
+        product = products[op](x, y)
+        expected = [self._fresh(product, n, variant) for n in ns]
+        num._word_value_f.cache_clear()
+        assert zn_apply_f(product, ns, variant) == expected
+        assert zn_apply_f(product, tuple(ns), variant) == expected  # now every word from the memo
+
+    def test_grid_and_scalar_calls_share_the_memo(self):
+        x = harmonic(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2)))
+        ns = [16, 64, 3, 1024, 2]
+        for variant in ("plain", "flat", "natural"):
+            fresh = [self._fresh(x, n, variant) for n in ns]
+            num._word_value_f.cache_clear()
+            assert [zn_apply_f(x, n, variant) for n in ns[::2]] == fresh[::2]
+            assert zn_apply_f(x, ns, variant) == fresh  # a grid after scalar calls at some of its N
+            num._word_value_f.cache_clear()
+            zn_apply_f(x, ns[1:], variant)
+            assert [zn_apply_f(x, n, variant) for n in ns] == fresh  # scalar calls after a grid
+
+    def test_each_unseen_word_is_walked_once(self, monkeypatch):
+        walked = []
+        original = num.chain_value_f
+        monkeypatch.setattr(
+            num, "chain_value_f", lambda chain, N, walk=None: walked.append((chain.steps, N)) or original(chain, N, walk)
+        )
+        x = shuffle(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1)))
+        plain = sorted(ConstraintChain.plain(index_of_word(w)).steps for w, _ in x.items())
+        num._word_value_f.cache_clear()
+        zn_apply_f(x, 64, "plain")
+        walked.clear()
+        zn_apply_f(x, [16, 256, 64, 16], "plain")  # each word unseen at 16 and 256: one walk at 256
+        assert sorted(walked) == [(steps, 256) for steps in plain]
+        walked.clear()
+        zn_apply_f(x, [256, 16], "plain")
+        zn_apply_f(x, 64, "plain")
+        assert walked == []  # known at every N of the grid
+        extra = LinComb.of_index(idx(3))
+        zn_apply_f(x + extra, [16, 64], "plain")
+        assert walked == [(ConstraintChain.plain(idx(3)).steps, 64)]  # only the unseen word
+        walked.clear()
+        zn_apply_f(extra, [16, 32, 16], "flat")  # one walk per N for flat and natural chains
+        assert walked == [(ConstraintChain.flat(idx(3)).steps, 16), (ConstraintChain.flat(idx(3)).steps, 32)]
+
+    def test_grid_validation(self):
+        x = LinComb.of_index(idx(2))
+        assert zn_apply_f(x, [], "plain") == [] and zn_apply_f(x, [], "flat") == []
+        for ns in ([0], [4, 0, 8], [-1]):
+            with pytest.raises(DomainError):
+                zn_apply_f(x, ns, "plain")
+        with pytest.raises(DomainError):
+            zn_apply_f(x, [4, 8], "fancy")
 
 
 class TestInversePowerTable:

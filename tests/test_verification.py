@@ -87,6 +87,16 @@ class TestCampaignsPass:
         (report,) = verify_asymp_li(FAST)
         assert report.passed
 
+    def test_asymp_li_records_a_capped_series_as_a_failed_case(self, monkeypatch):
+        # at z = 1 - 2^-14, (1,1) needs more than 2^19 terms and the other indices fewer
+        monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 19)
+        (report,) = verify_asymp_li(FAST)
+        assert [c.key for c in report.cases] == ["k=()", "k=(1)", "k=(1,1)", "k=(2)"]
+        failed = [c for c in report.cases if not c.passed]
+        assert [c.key for c in failed] == ["k=(1,1)"] and not report.passed
+        assert "z=0.99993896484375" in failed[0].detail["error"]
+        assert all("fit" in c.detail for c in report.cases if c.passed)
+
     def test_edsr(self):
         star, sh = verify_edsr(FAST)
         assert star.claim_id == "thm-edsr-star" and sh.claim_id == "thm-edsr-sh"
@@ -216,9 +226,12 @@ class TestSoundness:
     def test_offset_float_evaluator_fails_every_rate_case(self, monkeypatch, campaign, evaluator, claims):
         original = getattr(num, evaluator)
 
+        def shift(value):
+            return Real(value.value + 1.0, value.error_bound) if isinstance(value, Real) else value + 1.0
+
         def offset(*args, **kwargs):
             value = original(*args, **kwargs)
-            return Real(value.value + 1.0, value.error_bound) if isinstance(value, Real) else value + 1.0
+            return [shift(v) for v in value] if isinstance(value, list) else shift(value)  # a grid or one point
 
         monkeypatch.setattr(num, evaluator, offset)
         reports = [r for r in campaign(FAST) if r.claim_id in claims]
