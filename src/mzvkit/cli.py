@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from decimal import Decimal
 
 from . import finite_sums as fs
 from . import numeric as num
@@ -24,6 +25,12 @@ from .verification import (
     verify_claim,
     write_reports,
 )
+
+
+# The exact DP's rows hold N integers of about 1.44 * weight * N bits each.
+# At N = 10^4, flat (1,2) takes about 4 s and 160 MB and plain (1,1,1,1,1,1)
+# about 19 s and 420 MB; flat (1,2) at N = 10^5 runs for minutes and uses GBs.
+SUM_N_CAP = 10_000
 
 
 def parse_operand(text: str) -> LinComb:
@@ -126,11 +133,15 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
+    if args.n_value > SUM_N_CAP:
+        raise CapExceededError(f"exact sum refused: N={args.n_value} (cap {SUM_N_CAP})")
     if args.kind == "r":
         value = fs.r_value(fs.RArgs.parse(args.target), args.n_value)
     else:
         value = fs.evaluate_chain(fs.VARIANTS[args.kind](Index.parse(args.target)), args.n_value)
-    print(f"{value.numerator}/{value.denominator}")
+    # Decimal converts without Python's limit on int -> str digits, which the
+    # numerator and denominator pass from about N = 3000
+    print(f"{Decimal(value.numerator)}/{Decimal(value.denominator)}")
     return 0
 
 

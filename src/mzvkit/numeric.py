@@ -4,9 +4,10 @@ Exact rational evaluation lives in :mod:`mzvkit.finite_sums`; this module
 holds everything floating: MZV limits from the 1/2-Hoelder convolution (each
 MZV a finite sum of products of two nested polylogarithms at 1/2, in float64
 with a certified error bound, no extended precision), the nested
-polylogarithm power series, the float64 arithmetic of the chain DP for large
-N (where exact rationals are hopeless), and the log-rate fitter that turns
-O(N^-1 log^a N) claims into checkable statements.
+polylogarithm power series (stopped on a certified tail bound; its rounding
+term is an allowance, not a certificate), the float64 arithmetic of the
+chain DP for large N (where exact rationals are hopeless), and the log-rate
+fitter that turns O(N^-1 log^a N) claims into checkable statements.
 
 The float chain sums run the same prefix-trie walk as the exact ones
 (:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).
@@ -59,8 +60,9 @@ class Real:
     """A floating value with an absolute error bound.
 
     From :func:`mzv` the bound is a certificate: a series tail bound plus a
-    bound on float64 rounding.  From :func:`li_value` it is a geometric tail
-    estimate plus a relative rounding allowance.
+    bound on float64 rounding.  From :func:`li_value` it is a certified
+    series tail bound plus a relative rounding allowance, which is not a
+    certificate.
     """
 
     value: float
@@ -187,15 +189,18 @@ def _grid(x) -> tuple[list, bool]:
 def li_value(
     k: Index | Iterable[int], z: float | Sequence[float], tol: float = DEFAULT_LI_TOL
 ) -> Real | list[Real]:
-    """Nested polylogarithm Li_k(z) via its power series, truncated by a geometric tail bound.
+    """Nested polylogarithm Li_k(z) via its power series, truncated by a certified tail bound.
 
     ``z`` is one point or a sequence of points; a sequence gives one
     :class:`Real` per point.  The series runs in chunks of terms, and the
     inner sums of a chunk, which do not depend on z, are built once for every
-    point still summing.  Each point stops at the chunk where it would stop
-    alone, so every float equals that of a call at the point on its own.  A
-    point whose tail bound is still at least ``tol / 2`` after
-    :data:`LI_TERM_CAP` terms raises :class:`~mzvkit.errors.CapExceededError`.
+    point still summing.  Each point stops at the chunk where its tail bound
+    (see :func:`_li_series`) falls below ``tol / 2``, as it would alone, so
+    every float equals that of a call at the point on its own.  The error
+    bound is that tail bound plus a relative rounding allowance, which is not
+    a certificate.  A point whose tail bound is still at least ``tol / 2``
+    after :data:`LI_TERM_CAP` terms raises
+    :class:`~mzvkit.errors.CapExceededError`.
     """
     k = as_index(k)
     zs, scalar = _grid(z)
@@ -208,37 +213,81 @@ def li_value(
 
 
 def _li_series(parts: tuple[int, ...], zs: list[float], tol: float) -> list[Real]:
-    """The power series of :func:`li_value` at every point of ``zs`` in one pass."""
+    """The power series of :func:`li_value` at every point of ``zs`` in one pass.
+
+    With r = len(parts) and q = r - 1,
+
+        Li_k(z) = sum over m of z^m m^-k_r g(m),
+        g(m) = sum over 0 < m_1 < ... < m_q < m of prod m_i^-k_i.
+
+    The series runs in chunks of 2^14 terms.  Per chunk, g(m) m^-k_r, which
+    does not depend on z, is formed once; each point still summing adds
+    z^lo times the sum of that row against its own table of z^0 .. z^(2^14-1),
+    where lo is the chunk's first m.
+
+    The tail is certified.  For z in (0, 1) every summand is non-negative,
+    and as every k_i >= 1, g(m) is at most e_q(1, 1/2, ..., 1/(m-1)) <=
+    H_(m-1)^q / q! <= (1 + log m)^q / q!.  So the summand at m is at most
+    b(m) = z^m m^-k_r (1 + log m)^q / q!.  Let lo now be the first m not yet
+    summed.  For m >= lo, as (m / (m + 1))^k_r < 1 and log(1 + 1/m) <= 1/m,
+
+        b(m + 1) / b(m) <= z (1 + log(1 + 1/m) / (1 + log m))^q
+                        <= z exp(q / (m (1 + log m))) <= rho = z exp(q / (lo (1 + log lo))),
+
+    so the terms from lo on sum to at most b(lo) / (1 - rho) when rho < 1;
+    otherwise the bound is infinite.  A point stops once its bound is below
+    ``tol / 2``.  The rounding term, 1e-14 (1 + |value|), is an allowance
+    and not a certificate.
+    """
+    chunk = 1 << 14
+    q = len(parts) - 1
+    tables = [_power_table(z, chunk) for z in zs]
     totals = [0.0] * len(zs)
     tails = [0.0] * len(zs)
     running = list(range(len(zs)))
-    carries = [0.0] * (len(parts) - 1)
-    inner_peak = 1.0
-    chunk = 1 << 14
+    carries = [0.0] * q
     lo = 1
     while running:
         n = np.arange(lo, lo + chunk, dtype=np.float64)
+        inverse = {part: n ** float(-part) for part in set(parts)}
         g = np.ones_like(n)
         for i, part in enumerate(parts[:-1]):
-            term = g * n ** float(-part)
+            term = g * inverse[part]
             csum = np.cumsum(term)
             g = carries[i] + csum - term
             carries[i] += float(csum[-1])
-        last = n ** float(-parts[-1])
-        if len(parts) > 1:
-            inner_peak = max(inner_peak, float(g[-1]))
-        lo += chunk
+        row = g * inverse[parts[-1]]
         for j in running:
-            totals[j] += float(np.sum(zs[j] ** n * g * last))
-            # crude but safe: inner prefix sums grow logarithmically, the factor 4
-            # dominates that growth over the remaining effective range
-            tails[j] = (zs[j] ** lo) / (1.0 - zs[j]) * max(inner_peak, 1.0) * 4.0
+            totals[j] += zs[j] ** lo * float(np.sum(tables[j] * row))
+        lo += chunk
+        # b(lo) / (1 - rho) in logs, as in _half_point
+        log_lo = math.log(lo)
+        log_b = q * math.log1p(log_lo) - math.lgamma(q + 1) - parts[-1] * log_lo
+        for j in running:
+            log_z = math.log(zs[j])
+            log_rho = log_z + q / (lo * (1.0 + log_lo))
+            tails[j] = math.exp(lo * log_z + log_b) / -math.expm1(log_rho) if log_rho < 0.0 else math.inf
         running = [j for j in running if not tails[j] < tol / 2.0]
         if running and lo - 1 > LI_TERM_CAP:
             raise CapExceededError(
                 f"series for z={zs[running[0]]} did not reach tolerance {tol} within {lo - 1} terms"
             )
     return [Real(total, tail + 1e-14 * (1.0 + abs(total))) for total, tail in zip(totals, tails)]
+
+
+def _power_table(z: float, size: int) -> np.ndarray:
+    """z^0 .. z^(size - 1) for ``size`` a power of two, by doubling.
+
+    Entry j is the product of the values z ** 2^i over the bits of j, each
+    within an ulp, so it lies within 2 log2(size) roundings of z^j.
+    """
+    table = np.empty(size)
+    table[0] = 1.0
+    width = 1
+    while width < size:
+        np.multiply(table[:width], z ** width, out=table[width:2 * width])
+        width *= 2
+    return table
 
 
 def eval_reg_polynomial(p, t: float, tol: float = DEFAULT_LI_TOL) -> Real:

@@ -406,22 +406,25 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     exponents = [e for e in range(2, 31) if (1 << e) in cfg.n_schedule]
     if len(exponents) < 5:
         raise DomainError("the schedule must contain at least five powers of two for the z grid")
+    # a tenth of the noise floor, so that the truncation error of either side
+    # stays below the residuals the rate fit counts as 0
+    tol = NOISE_FLOOR / 10
 
     def check(k: Index) -> Case:
         poly = reg.z_shuffle_polynomial(k)
         zs = [1.0 - 0.5 ** e for e in exponents]
         key, inputs = f"k=({k})", {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
         try:
-            observed = num.li_value(k, zs)
+            observed = num.li_value(k, zs, tol)
         except CapExceededError as exc:
             return Case(key, inputs, False, {"error": str(exc), "polynomialDegree": poly.degree})
         residuals = []
         for e, z, value in zip(exponents, zs, observed):
-            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z))
+            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), tol)
             residuals.append((1 << e, value.value - predicted.value))
         return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
-    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK}
+    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK, "liTol": tol}
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
     return [_report(cfg, "prop-asymp-Li", params, check, indices)]
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from mzvkit import regularization as reg
 from mzvkit.cli import _parse_schedule, main, parse_operand
 from mzvkit.algebra import Index, LinComb, Word
 from mzvkit.errors import DomainError
+from mzvkit.finite_sums import zeta_lt
 
 
 class TestOperandParsing:
@@ -53,6 +56,18 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "205/144"
         assert main(["sum", "--kind", "r", "2,1;0,0", "--n", "5"]) == 0
         assert capsys.readouterr().out.strip() == "17/32"
+
+    def test_sum_prints_every_digit(self, capsys):
+        assert main(["sum", "--kind", "plain", "2", "--n", "5000"]) == 0
+        numerator, denominator = capsys.readouterr().out.strip().split("/")
+        assert len(denominator) > 4300  # past Python's default int -> str limit
+        # int(str) has the same digit limit; int(Decimal) does not
+        assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == zeta_lt(Index((2,)), 5000)
+
+    def test_sum_past_the_n_cap_is_refused(self, capsys):
+        assert main(["sum", "--kind", "flat", "1,2", "--n", "100000"]) == 2
+        out, err = capsys.readouterr()
+        assert "refused: N=100000 (cap 10000)" in err and "Traceback" not in out + err
 
     def test_regularize(self, capsys):
         assert main(["regularize", "--op", "sh", "2,1"]) == 0
@@ -118,12 +133,17 @@ class TestCommands:
         assert report["verdict"] == "fail" and report["cases"] == []
 
     def test_capped_polylog_series_fails_the_claim_without_a_traceback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 19)  # (1,1) needs more terms at z = 1 - 2^-14
+        # at z = 1 - 2^-14 and the campaign tol, (1,1) sums 26 chunks of 2^14 terms, (1) 23 and (2) 12
+        monkeypatch.setattr(num, "LI_TERM_CAP", 24 << 14)
         assert main(["verify", "prop-asymp-Li", "--max-weight", "2", "--out", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert "prop-asymp-Li: FAIL (4 cases" in out and "Traceback" not in out + err
         report = json.loads((tmp_path / "prop-asymp-Li.json").read_text())
         assert [c["case"] for c in report["cases"] if not c["passed"]] == ["k=(1,1)"]
+
+    def test_polylog_grid_to_z_one_minus_two_to_minus_22_passes(self, capsys):
+        assert main(["verify", "prop-asymp-Li", "--max-weight", "1", "--n-schedule", "16:4194304"]) == 0
+        assert "prop-asymp-Li: PASS (2 cases" in capsys.readouterr().out
 
     def test_verify_asymp_shuffle_past_the_brute_force_cap(self, capsys):
         assert main(["verify", "prop-asymp-shuffle", "--max-weight", "4", "--n-schedule", "16:256"]) == 0

@@ -186,6 +186,30 @@ class TestLiValue:
             li_value(idx(2), 0.5, 0.0)
 
 
+class TestLiCertificate:
+    """The error bound of li_value covers the distance to closed forms, at a tight and a loose tol."""
+
+    points = [0.5, 1.0 - 2.0 ** -14, 1.0 - 2.0 ** -20]
+
+    @staticmethod
+    def _reference(k, z):
+        log = math.log1p(-z)
+        if k == (1,):
+            return -log
+        if k == (1, 1):
+            return log ** 2 / 2
+        if k == (1, 1, 1):
+            return -log ** 3 / 6
+        with mpmath.workdps(30):
+            return float(mpmath.polylog(k[0], z))
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-4])
+    @pytest.mark.parametrize("k", [(1,), (1, 1), (1, 1, 1), (2,), (3,)], ids=str)
+    def test_closed_forms_lie_within_the_bound(self, k, tol):
+        for z, v in zip(self.points, li_value(idx(*k), self.points, tol)):
+            assert abs(v.value - self._reference(k, z)) <= v.error_bound <= tol, (z, v)
+
+
 class TestLiGrid:
     """A z grid sums the series once, and each point's floats equal those of its own call."""
 
@@ -217,7 +241,7 @@ class TestLiGrid:
     def test_term_cap_raises_naming_the_point(self, monkeypatch):
         monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 15)
         assert li_value(idx(2), 0.5).value == li_value(idx(2), [0.5])[0].value  # within the cap
-        z = 1.0 - 2.0 ** -14  # needs about 33 chunks of 2^14 terms
+        z = 1.0 - 2.0 ** -14  # needs 8 chunks of 2^14 terms at the default tol
         for arg in (z, [0.5, z, 0.25]):
             with pytest.raises(CapExceededError, match=rf"z={z!r} .* within 49152 terms"):
                 li_value(idx(2), arg)

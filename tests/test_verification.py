@@ -88,8 +88,8 @@ class TestCampaignsPass:
         assert report.passed
 
     def test_asymp_li_records_a_capped_series_as_a_failed_case(self, monkeypatch):
-        # at z = 1 - 2^-14, (1,1) needs more than 2^19 terms and the other indices fewer
-        monkeypatch.setattr(num, "LI_TERM_CAP", 1 << 19)
+        # at z = 1 - 2^-14 and the campaign tol, (1,1) sums 26 chunks of 2^14 terms, (1) 23 and (2) 12
+        monkeypatch.setattr(num, "LI_TERM_CAP", 24 << 14)
         (report,) = verify_asymp_li(FAST)
         assert [c.key for c in report.cases] == ["k=()", "k=(1)", "k=(1,1)", "k=(2)"]
         failed = [c for c in report.cases if not c.passed]
