@@ -1,8 +1,10 @@
 """Words over {e0, e1}, integer indices, and the harmonic / shuffle products.
 
-The rational span of words starting with e1 (plus the empty word) is the
-algebra H1; words that additionally end with e0 span the subalgebra H0.
-Both products are implemented by the standard right-recursion and extended
+A word is the tuple (length, bits), its letters packed MSB-first into bits,
+so tuple order is the canonical order: by length, then lexicographic.  The
+rational span of words starting with e1 (plus the empty word) is the algebra
+H1; words that additionally end with e0 span the subalgebra H0.  Both
+products are implemented by the standard right-recursion and extended
 bilinearly to linear combinations with exact rational coefficients.
 
 All values here are immutable and all operations are pure; the memoization
@@ -13,6 +15,7 @@ safe under CPython's GIL (worst case a value is recomputed, never corrupted).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -25,21 +28,25 @@ E1 = 1
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word over the two-letter alphabet, packed MSB-first into an int.
+class Word(tuple):
+    """The tuple ``(length, bits)`` of a word over {e0, e1}, built as ``Word(bits, length)``.
 
-    ``bits`` holds the letters (e1 = 1, e0 = 0) with the first letter at the
-    most significant position; ``length`` is the letter count.  The empty
-    word (bits 0, length 0) is the algebra unit.
+    ``bits`` packs the letters MSB-first (e1 = 1, e0 = 0).  Tuple order is the
+    canonical order, length then lexicographic; the empty word is the unit.
     """
 
-    bits: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.bits < 0 or self.bits >> self.length:
-            raise ValueError(f"invalid packed word: bits={self.bits}, length={self.length}")
+    def __new__(cls, bits: int, length: int) -> "Word":
+        if length < 0 or bits < 0 or bits >> length:
+            raise ValueError(f"invalid packed word: bits={bits}, length={length}")
+        return tuple.__new__(cls, (length, bits))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.bits, self.length
+
+    length = property(operator.itemgetter(0))
+    bits = property(operator.itemgetter(1))
 
     @classmethod
     def from_letters(cls, letters: Iterable[int]) -> "Word":
@@ -89,9 +96,6 @@ class Word:
     def append(self, letter: int) -> "Word":
         return Word((self.bits << 1) | letter, self.length + 1)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word((self.bits << other.length) | other.bits, self.length + other.length)
-
     def drop_last(self, n: int = 1) -> "Word":
         if n > self.length:
             raise ValueError("cannot drop more letters than the word has")
@@ -103,11 +107,6 @@ class Word:
             bits >>= 1
             t += 1
         return t
-
-    def sort_key(self) -> tuple[int, int]:
-        # length-then-lexicographic; for equal lengths the packed value is the
-        # lexicographic order of the 0/1 string
-        return (self.length, self.bits)
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b") if self.length else ""
@@ -254,7 +253,7 @@ class LinComb:
     def items(self) -> tuple[tuple[Word, Fraction], ...]:
         """Terms in canonical (length, packed-bits) order."""
         if self._items is None:
-            self._items = tuple(sorted(self._terms.items(), key=lambda it: it[0].sort_key()))
+            self._items = tuple(sorted(self._terms.items()))
         return self._items
 
     def support(self) -> set[Word]:
@@ -385,7 +384,7 @@ def _shuffle_words(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
     for prefix, mult in _shuffle_words(a, b.drop_last()):
         key = prefix.append(b.last)
         acc[key] = acc.get(key, 0) + mult
-    return tuple(sorted(acc.items(), key=lambda it: it[0].sort_key()))
+    return tuple(sorted(acc.items()))
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:

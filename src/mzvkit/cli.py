@@ -27,10 +27,11 @@ from .verification import (
 )
 
 
-# The exact DP's rows hold N integers of about 1.44 * weight * N bits each.
-# At N = 10^4, flat (1,2) takes about 4 s and 160 MB and plain (1,1,1,1,1,1)
-# about 19 s and 420 MB; flat (1,2) at N = 10^5 runs for minutes and uses GBs.
-SUM_N_CAP = 10_000
+# The exact DP's rows hold N integers of about 1.44 * weight * N bits each,
+# so time and memory grow like weight * N^2.  The cap is flat (1,2) at
+# N = 10^4, about 4 s and 160 MB; plain (1,1,1,1,1,1) at the same N took
+# about 19 s and 420 MB, and flat (1,2) at N = 10^5 runs for minutes.
+SUM_COST_CAP = 3 * 10_000 ** 2
 
 
 def parse_operand(text: str) -> LinComb:
@@ -133,12 +134,20 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    if args.n_value > SUM_N_CAP:
-        raise CapExceededError(f"exact sum refused: N={args.n_value} (cap {SUM_N_CAP})")
     if args.kind == "r":
-        value = fs.r_value(fs.RArgs.parse(args.target), args.n_value)
+        r_args = fs.RArgs.parse(args.target)
+        weight = sum(r_args.a) + sum(r_args.b)
     else:
-        value = fs.evaluate_chain(fs.VARIANTS[args.kind](Index.parse(args.target)), args.n_value)
+        k = Index.parse(args.target)
+        weight = k.weight
+    # lcm(1..N-1) alone costs like N^2, so the empty index counts as weight 1
+    cost = max(weight, 1) * args.n_value ** 2
+    if cost > SUM_COST_CAP:
+        raise CapExceededError(f"exact sum refused: weight * N^2 = {cost} at N={args.n_value} (cap {SUM_COST_CAP})")
+    if args.kind == "r":
+        value = fs.r_value(r_args, args.n_value)
+    else:
+        value = fs.evaluate_chain(fs.VARIANTS[args.kind](k), args.n_value)
     # Decimal converts without Python's limit on int -> str digits, which the
     # numerator and denominator pass from about N = 3000
     print(f"{Decimal(value.numerator)}/{Decimal(value.denominator)}")

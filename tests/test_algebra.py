@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -98,6 +100,30 @@ class TestWordsAndIndices:
         with pytest.raises(DomainError):
             Index.parse("1,x")
 
+    def test_tuple_order_is_length_then_lexicographic(self):
+        pool = [Word(bits, length) for length in range(7) for bits in range(1 << length)]
+        assert sorted(reversed(pool)) == sorted(pool, key=lambda w: (len(str(w)), str(w)))
+
+    def test_hash_and_equality_follow_bits_and_length(self):
+        pool = [Word(bits, length) for length in range(5) for bits in range(1 << length)]
+        for u, v in itertools.product(pool, repeat=2):
+            assert (u == v) == ((u.bits, u.length) == (v.bits, v.length))
+        for w in pool:
+            twin = Word.from_letters(w.letters())
+            assert twin == w and hash(twin) == hash(w)
+
+    @pytest.mark.parametrize("bits, length", [(4, 2), (-1, 1), (0, -1)])
+    def test_invalid_packed_word_is_rejected(self, bits, length):
+        with pytest.raises(ValueError):
+            Word(bits, length)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))])
+    def test_copy_and_pickle_keep_the_word(self, clone):
+        for w in (EMPTY_WORD, Word.parse("0110"), Word.parse("1")):
+            out = clone(w)
+            assert out == w and type(out) is Word and repr(out) == repr(w)
+            assert (out.bits, out.length) == (w.bits, w.length)
+
     def test_composition_count(self):
         # 2^(w-1) compositions of weight w; 63 in total up to weight 6
         assert len(indices_of_weight(4)) == 8
@@ -130,7 +156,7 @@ class TestLinComb:
         ]
         for z in made:
             assert z._items is None
-            assert z.items() == tuple(sorted(z._terms.items(), key=lambda it: it[0].sort_key()))
+            assert z.items() == tuple(sorted(z._terms.items(), key=lambda it: (len(str(it[0])), str(it[0]))))
             assert z.items() is z.items()
 
 

@@ -67,7 +67,16 @@ class TestCommands:
     def test_sum_past_the_n_cap_is_refused(self, capsys):
         assert main(["sum", "--kind", "flat", "1,2", "--n", "100000"]) == 2
         out, err = capsys.readouterr()
-        assert "refused: N=100000 (cap 10000)" in err and "Traceback" not in out + err
+        assert "refused: weight * N^2 = 30000000000 at N=100000 (cap 300000000)" in err and "Traceback" not in out + err
+
+    def test_sum_cap_counts_the_weight(self, capsys):
+        assert main(["sum", "--kind", "plain", "1,1,1,1,1,1", "--n", "10000"]) == 2
+        out, err = capsys.readouterr()
+        assert "refused: weight * N^2 = 600000000 at N=10000" in err and "Traceback" not in out + err
+        assert main(["sum", "--kind", "r", "2,1;0,1", "--n", "10000"]) == 2
+        assert "refused: weight * N^2 = 400000000 at N=10000" in capsys.readouterr().err
+        assert main(["sum", "--kind", "plain", "2", "--n", "5000"]) == 0
+        assert "/" in capsys.readouterr().out
 
     def test_regularize(self, capsys):
         assert main(["regularize", "--op", "sh", "2,1"]) == 0
