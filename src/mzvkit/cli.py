@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -27,11 +28,13 @@ from .verification import (
 )
 
 
-# The exact DP's rows hold N integers of about 1.44 * weight * N bits each,
-# so time and memory grow like weight * N^2.  The cap is flat (1,2) at
-# N = 10^4, about 4 s and 160 MB; plain (1,1,1,1,1,1) at the same N took
-# about 19 s and 420 MB, and flat (1,2) at N = 10^5 runs for minutes.
-SUM_COST_CAP = 3 * 10_000 ** 2
+# The exact DP builds one row per chain step, and row i holds N integers of
+# about 1.44 * (exponent sum of the first i steps) * N bits, so time and
+# memory grow like N^2 times the summed prefix exponents.  The cap is flat
+# (1,2) at N = 10^4 (6 * 10^8, about 6 s and 160 MB); plain (1,1,1,1,1,1)
+# reaches it at N = 5345 (about 4 s and 140 MB), and flat (1,2) at N = 10^5
+# runs for minutes.
+SUM_COST_CAP = 6 * 10_000 ** 2
 
 
 def parse_operand(text: str) -> LinComb:
@@ -134,16 +137,21 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
+    # the cost reads the exponents, not the chain: a flat or natural chain has
+    # one step of exponent 1 per unit of weight, so building it first would
+    # let a huge part exhaust memory before the cap refuses it
     if args.kind == "r":
         r_args = fs.RArgs.parse(args.target)
-        weight = sum(r_args.a) + sum(r_args.b)
+        prefix_sums = sum(itertools.accumulate(a + b for a, b in zip(r_args.a, r_args.b)))
     else:
         k = Index.parse(args.target)
-        weight = k.weight
-    # lcm(1..N-1) alone costs like N^2, so the empty index counts as weight 1
-    cost = max(weight, 1) * args.n_value ** 2
+        prefix_sums = sum(itertools.accumulate(k.parts)) if args.kind == "plain" else k.weight * (k.weight + 1) // 2
+    # lcm(1..N-1) alone costs like N^2, so the empty index counts as 1
+    cost = max(prefix_sums, 1) * args.n_value ** 2
     if cost > SUM_COST_CAP:
-        raise CapExceededError(f"exact sum refused: weight * N^2 = {cost} at N={args.n_value} (cap {SUM_COST_CAP})")
+        raise CapExceededError(
+            f"exact sum refused: N^2 * prefix exponent sums = {cost} at N={args.n_value} (cap {SUM_COST_CAP})"
+        )
     if args.kind == "r":
         value = fs.r_value(r_args, args.n_value)
     else:

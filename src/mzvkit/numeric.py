@@ -10,25 +10,28 @@ chain DP for large N (where exact rationals are hopeless), and the log-rate
 fitter that turns O(N^-1 log^a N) claims into checkable statements.
 
 The float chain sums run the same prefix-trie walk as the exact ones
-(:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).
-:func:`zn_apply_f` keeps each word's float per (N, variant) for later calls
-and passes the words it has not seen there through :func:`chain_value_f`, in
-one walk.  The weight rows are slices of one read-only table of m ** -e per
-exponent e, shared by every walk: n ** -b over n = 1..N-1 is the table's
-first N - 1 entries and (N - n) ** -a the same slice reversed.  A table grows
-by powering only its new entries, and each walk trims the tables to its own
-exponents, so that memory follows the latest walk.  Every float equals that
-of evaluating each chain on its own: the same power per weight (numpy's
-``pow`` of a value does not depend on where it sits in an array), the same
-sequential ``cumsum``, ``.sum()`` over the N - 1 entries of the last row, and
-the words combined as ``float(c) * value`` in term order.
+(:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).  A walk
+runs at the largest N of a grid and reads each chain's sum at every N of it:
+plain chains, whose rows at N are prefixes of their rows at any larger N,
+take one walk for a whole grid, and flat and natural chains, whose
+(N - n) ** -a weights change with N, one walk per N.  :func:`chain_value_f`
+walks a one-point grid.  :func:`zn_apply_f` keeps each word's float per
+(N, variant) for later calls and walks the words it has not seen there in
+one walk per grid.  The weight rows are slices of one read-only table of
+m ** -e per exponent e, shared by every walk: n ** -b over n = 1..N-1 is the
+table's first N - 1 entries and (N - n) ** -a the same slice reversed.  A
+table grows by powering only its new entries, and each walk trims the
+tables to its own exponents, so that memory follows the latest walk.  Every
+float equals that of evaluating each chain on its own at its N: the same
+power per weight (numpy's ``pow`` of a value does not depend on where it
+sits in an array), the same sequential ``cumsum``, ``.sum()`` over the first
+N - 1 entries of the last row, and the words combined as ``float(c) *
+value`` in term order.
 
-The rate campaigns evaluate whole grids in one call.  :func:`zn_apply_f`
-takes a sequence of N: plain chains, whose rows at N are prefixes of their
-rows at any larger N, are walked once at the largest N and read at every N
-of the grid.  :func:`li_value` takes a sequence of z and builds the inner
-sums of each chunk of its series, which do not depend on z, once for every
-point.  Both give the floats of their one-point calls.
+The rate campaigns evaluate whole grids in one call: :func:`zn_apply_f` over
+a sequence of N, and :func:`li_value` over a sequence of z, building the
+inner sums of each chunk of its series, which do not depend on z, once for
+every point.  Both give the floats of their one-point calls.
 """
 
 from __future__ import annotations
@@ -320,22 +323,29 @@ _NO_POWERS = np.empty(0)
 
 
 class FloatRows:
-    """The float64 arithmetic of :class:`mzvkit.finite_sums.ChainWalk` at N.
+    """The float64 arithmetic of :class:`mzvkit.finite_sums.ChainWalk` over a sorted grid ``ns``.
 
-    Row entry n - 1 belongs to the summation value n.  ``exponents`` are the
-    non-zero exponents of the chains to be walked.  Each weight row is a
-    read-only view of the shared table of its exponent (reversed for the
-    factor (N - n) ** -a), or one product of two such views when a and b are
-    both non-zero: the factor x ** -0.0 is exactly 1.0, so leaving it out
-    changes no float.  The views keep their tables alive, so a walk still
-    works after a later one has trimmed the shared tables.  The prefix sums
-    are one sequential ``cumsum`` and a chain's sum is ``.sum()`` over its
-    whole last row.
+    The walk runs at N = ``ns[-1]``; row entry n - 1 belongs to the summation
+    value n.  A chain's total is the tuple of the sums of the first M - 1
+    entries of its last row, one per M in ``ns``.  That is its sum at M for
+    M = N, and for every M when no step has an (N - n) ** -a weight, as in a
+    plain chain: its weight rows at M are the first M - 1 entries of those at
+    N, sequential ``cumsum`` and elementwise products keep prefixes, and
+    ``.sum()`` of a contiguous prefix equals that of the same row on its own.
+    Flat and natural chains take one-point grids.
+
+    ``exponents`` are the non-zero exponents of the chains to be walked.  Each
+    weight row is a read-only view of the shared table of its exponent
+    (reversed for the factor (N - n) ** -a), or one product of two such views
+    when a and b are both non-zero: the factor x ** -0.0 is exactly 1.0, so
+    leaving it out changes no float.  The views keep their tables alive, so a
+    walk still works after a later one has trimmed the shared tables.
     """
 
-    one = 1.0
-
-    def __init__(self, N: int, exponents: Iterable[int]) -> None:
+    def __init__(self, ns: Sequence[int], exponents: Iterable[int]) -> None:
+        self.ns = ns
+        self.one = (1.0,) * len(ns)
+        N = ns[-1]
         wanted = set(exponents)
         for e in _INVERSE_POWERS.keys() - wanted:
             del _INVERSE_POWERS[e]
@@ -366,30 +376,8 @@ class FloatRows:
             below = np.cumsum(values)
         return np.multiply(weights, below, out=below)
 
-    def total(self, values: np.ndarray, steps: tuple[Step, ...]) -> float:
-        """The chain's sum from its last row."""
-        return float(values.sum())
-
-
-class _GridRows(FloatRows):
-    """:class:`FloatRows` at the largest N of a sorted grid ``ns``, whose chain
-    sums are read at every N of the grid: a chain's total is the tuple of the
-    sums of the first N - 1 entries of its last row.
-
-    That is the chain's sum at N when no step has an (N - n) ** -a weight, as
-    in a plain chain: its weight rows at N are the first N - 1 entries of
-    those at any larger N, sequential ``cumsum`` and elementwise products keep
-    prefixes, and ``.sum()`` of a contiguous prefix equals that of the same
-    row on its own, so every float is bit-for-bit that of a walk at N.  With a
-    one-point grid it is the walk at that N.
-    """
-
-    def __init__(self, ns: Sequence[int], exponents: Iterable[int]) -> None:
-        super().__init__(ns[-1], exponents)
-        self.ns = ns
-        self.one = (1.0,) * len(ns)
-
     def total(self, values: np.ndarray, steps: tuple[Step, ...]) -> tuple[float, ...]:
+        """The chain's sum at each N of the grid, from its last row."""
         return tuple(float(values[: n - 1].sum()) for n in self.ns)
 
 
@@ -398,17 +386,18 @@ def _exponents(chains: Iterable[ConstraintChain]) -> set[int]:
     return {e for chain in chains for step in chain.steps for e in (step.a, step.b) if e}
 
 
-def chain_value_f(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> float:
+def chain_value_f(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> float | tuple[float, ...]:
     """Chain sum over 0 < n_1 R n_2 R ... R n_k < N in float64.
 
-    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over a ``FloatRows(N,
-    exponents)`` that covers this chain's exponents, continues from the
-    chains evaluated in it before.
+    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over a
+    ``FloatRows(ns, exponents)`` with ``ns[-1] == N`` that covers this
+    chain's exponents, continues from the chains evaluated in it before, and
+    the result is then the tuple of the chain's sums at each N of ``ns``.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
     if walk is None:
-        walk = ChainWalk(FloatRows(N, _exponents([chain])))
+        return ChainWalk(FloatRows((N,), _exponents([chain]))).value(chain.steps)[0]
     return walk.value(chain.steps)
 
 
@@ -441,10 +430,8 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
 
     ``N`` is one value or a sequence of them; a sequence gives one float per
     N.  Each word's float is kept per (N, variant) for later calls.  The words
-    missing at some N share one walk: for the plain variant one walk at the
-    largest N of the grid, read at each N as the sum of the first N - 1
-    entries of the chain's last row (see :class:`_GridRows`), and for flat and
-    natural chains, whose (N - n) ** -a weights change with N, one walk per N.
+    missing at some N share one :class:`FloatRows` walk: for the plain variant
+    one over the whole grid, for flat and natural chains one per N.
     """
     chain_of = word_chain(x, variant)
     ns, scalar = _grid(N)
@@ -458,7 +445,7 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
         if missing:
             # in sorted order the chains walk their prefix trie
             unseen = sorted(((chain_of(w), w) for w in missing), key=lambda item: item[0].steps)
-            walk = ChainWalk(_GridRows(group, _exponents(chain for chain, _ in unseen)))
+            walk = ChainWalk(FloatRows(group, _exponents(chain for chain, _ in unseen)))
             for chain, w in unseen:
                 for table, value in zip(tables, chain_value_f(chain, group[-1], walk)):
                     table[w] = value

@@ -11,6 +11,8 @@ printed on the console instead.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -132,11 +134,13 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["case,passed,detail"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["case", "passed", "detail"])
         for c in self.cases:
             detail = json.dumps({"inputs": c.inputs, **c.detail}, sort_keys=True)
-            lines.append(f"{c.key},{int(c.passed)},\"{detail.replace(chr(34), chr(34) * 2)}\"")
-        return "\n".join(lines) + "\n"
+            writer.writerow([c.key, int(c.passed), detail])
+        return out.getvalue()
 
 
 def _map_cases(cfg: CampaignConfig, func: Callable, items: Sequence) -> list:
@@ -332,10 +336,8 @@ def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
         x = LinComb.of_index(k)
         y = LinComb.of_index(l)
         sh = shuffle(x, y)
-        residuals = []
-        for n in cfg.n_schedule:
-            lhs = num.zn_apply_f(x, n, "natural") * num.zn_apply_f(y, n, "natural")
-            residuals.append((n, lhs - num.zn_apply_f(sh, n, "natural")))
+        grids = (num.zn_apply_f(z, cfg.n_schedule, "natural") for z in (x, y, sh))
+        residuals = [(n, a * b - c) for n, a, b, c in zip(cfg.n_schedule, *grids)]
         # a natural chain longer than N - 1 sums to 0, so keep N above the pair's weight
         n0 = max(SHUFFLE_EXACT_N, k.weight + l.weight + 1)
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
@@ -378,10 +380,11 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
 
     def check(k: Index) -> Case:
         poly = reg.z_star_polynomial(k)
-        residuals = []
-        for n in cfg.n_schedule:
-            predicted = num.eval_reg_polynomial(poly, math.log(n) + gamma)
-            residuals.append((n, num.zeta_lt_f(k, n) - predicted.value))
+        values = num.zn_apply_f(LinComb.of_index(k), cfg.n_schedule, "plain")
+        residuals = [
+            (n, value - num.eval_reg_polynomial(poly, math.log(n) + gamma).value)
+            for n, value in zip(cfg.n_schedule, values)
+        ]
         return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
     def sentinel() -> list[Case]:

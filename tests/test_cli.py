@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mzvkit import finite_sums as fs
 from mzvkit import numeric as num
 from mzvkit import regularization as reg
 from mzvkit.cli import _parse_schedule, main, parse_operand
@@ -67,16 +68,30 @@ class TestCommands:
     def test_sum_past_the_n_cap_is_refused(self, capsys):
         assert main(["sum", "--kind", "flat", "1,2", "--n", "100000"]) == 2
         out, err = capsys.readouterr()
-        assert "refused: weight * N^2 = 30000000000 at N=100000 (cap 300000000)" in err and "Traceback" not in out + err
+        assert (
+            "refused: N^2 * prefix exponent sums = 60000000000 at N=100000 (cap 600000000)" in err
+            and "Traceback" not in out + err
+        )
 
     def test_sum_cap_counts_the_weight(self, capsys):
+        # the flat (1,2) cap at N = 10^4 is 6 * 10^8; a deep index reaches it at a smaller N
         assert main(["sum", "--kind", "plain", "1,1,1,1,1,1", "--n", "10000"]) == 2
         out, err = capsys.readouterr()
-        assert "refused: weight * N^2 = 600000000 at N=10000" in err and "Traceback" not in out + err
-        assert main(["sum", "--kind", "r", "2,1;0,1", "--n", "10000"]) == 2
-        assert "refused: weight * N^2 = 400000000 at N=10000" in capsys.readouterr().err
+        assert "refused: N^2 * prefix exponent sums = 2100000000 at N=10000" in err and "Traceback" not in out + err
+        assert main(["sum", "--kind", "plain", "1,1,1,1,1,1", "--n", "7071"]) == 2  # 21 * 7071^2
+        assert "refused: N^2 * prefix exponent sums = 1049979861 at N=7071" in capsys.readouterr().err
+        assert main(["sum", "--kind", "r", "2,2;0,1", "--n", "10000"]) == 2  # prefix sums 2 and 5
+        assert "refused: N^2 * prefix exponent sums = 700000000 at N=10000" in capsys.readouterr().err
         assert main(["sum", "--kind", "plain", "2", "--n", "5000"]) == 0
         assert "/" in capsys.readouterr().out
+
+    def test_sum_cap_refuses_before_building_the_chain(self, capsys, monkeypatch):
+        # a flat or natural chain takes one step per unit of weight: 10^9 steps here
+        for kind in ("flat", "natural"):
+            monkeypatch.setitem(fs.VARIANTS, kind, lambda k: pytest.fail("chain built before the cap check"))
+            assert main(["sum", "--kind", kind, "1000000000", "--n", "2"]) == 2
+            err = capsys.readouterr().err
+            assert "refused: N^2 * prefix exponent sums = 2000000002000000000 at N=2" in err, err
 
     def test_regularize(self, capsys):
         assert main(["regularize", "--op", "sh", "2,1"]) == 0
