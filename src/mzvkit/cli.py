@@ -100,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claim", help="a claim id or 'all'")
     p_verify.add_argument("--max-weight", type=int, default=None)
     p_verify.add_argument("--n-schedule", type=str, default=None, help="'a:b' doubling schedule")
-    p_verify.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
+    p_verify.add_argument(
+        "--tol", type=float, default=None,
+        help="residual tolerance of thm-edsr-star and thm-edsr-sh (edsr_tol); the other tolerances are fixed",
+    )
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", type=str, default=None, help="directory for report files")
     p_verify.add_argument("--format", choices=("json", "csv"), default=None)

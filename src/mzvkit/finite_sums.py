@@ -7,12 +7,20 @@ variable is strict or non-strict, and the summand factor is
 naive O(N^k) enumeration.  :class:`ChainWalk` is that DP, once, for a
 sequence of chains: each chain continues from the prefix it shares with the
 one before, so chains in sorted order walk their prefix trie, each distinct
-prefix costs one step and only the rows of the current path are held.  It is
-generic over its arithmetic; :class:`IntegerRows` here and
-:class:`mzvkit.numeric.FloatRows` are the two.  :func:`evaluate_chain`
-evaluates one chain in a walk of its own or in one it is given, and
-:func:`zn_apply` passes one walk to all the words of a combination.  The
-diagonal terms of a product of two strict-chain sums come from a second
+prefix costs one step and only the rows of the current path are held.  The
+walk remembers the sum of every chain it walks, in a table it is given or in
+one of its own.  It is generic over its arithmetic; :class:`IntegerRows` here
+and :class:`mzvkit.numeric.FloatRows` are the two.  :func:`evaluate_chain`
+evaluates one chain in a walk of its own or in one it is given.
+
+:func:`zn_apply` reads each word of a combination from a table of exact chain
+sums per N that lives across calls, and walks the chains missing there in one
+walk per call.  :func:`walk_words` fills that table for a whole word set in
+one sorted walk, so that a campaign walks each distinct chain once per N.
+Only sums outlive a call, never rows: a row at N holds N - 1 numerators of
+about 1.44 * w * N bits.
+
+The diagonal terms of a product of two strict-chain sums come from a second
 prefix-sum DP over the merge grid of their steps.  The naive enumeration of
 chain tuples is kept as the independent brute-force oracle of both, capped
 for safety.
@@ -34,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .algebra import Index, LinComb, Word, index_of_word, jset
 from .errors import CapExceededError, DomainError
@@ -182,16 +190,25 @@ class ChainWalk:
     are kept.  ``rows`` is the arithmetic, with the interface of
     :class:`IntegerRows`; :class:`mzvkit.numeric.FloatRows` is the float64
     one.  Each weight row is built once per exponent pair.
+
+    The walk remembers the sum of every chain it walks in ``sums``, a dict
+    keyed by steps, and reads a chain found there instead of walking it.
+    ``sums`` may be a table that outlives the walk, as :func:`zn_apply` passes
+    one; the rows never do.
     """
 
-    def __init__(self, rows) -> None:
+    def __init__(self, rows, sums: dict | None = None) -> None:
         self.rows = rows
+        self.sums = {} if sums is None else sums
         self._weights: dict = {}  # weight rows by exponent pair
         self._steps: tuple[Step, ...] = ()  # the chain of the current path
         self._path: list = []  # _path[i]: the row after the first i + 1 steps of _steps
 
     def value(self, steps: tuple[Step, ...]):
         """The sum of the chain with these steps."""
+        known = self.sums.get(steps)
+        if known is not None:
+            return known
         rows, path, previous = self.rows, self._path, self._steps
         shared = 0
         while shared < min(len(previous), len(steps)) and previous[shared] == steps[shared]:
@@ -203,7 +220,8 @@ class ChainWalk:
                 weights = self._weights[a, b] = rows.weights(a, b)
             path.append(rows.step(weights, path[-1], strict) if path else weights)
         self._steps = steps
-        return rows.total(path[-1], steps) if steps else rows.one
+        total = self.sums[steps] = rows.total(path[-1], steps) if steps else rows.one
+        return total
 
 
 def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> Fraction:
@@ -211,7 +229,8 @@ def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None
     on integer numerators over powers of lcm(1..N-1).
 
     ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, continues from the
-    chains evaluated in it before; :func:`zn_apply` passes one to all its words.
+    chains evaluated in it before and reads a chain already in its table;
+    :func:`zn_apply` passes one to all its words.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -270,13 +289,39 @@ def word_chain(x: LinComb, variant: str) -> Callable[[Word], ConstraintChain]:
     return lambda w: chain_of(index_of_word(w))
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_sums(N: int) -> dict[tuple[Step, ...], Fraction]:
+    """The exact sums of the chains walked so far at N, by steps; :func:`zn_apply` and :func:`walk_words` fill it."""
+    return {}
+
+
+def walk_words(words: Iterable[Word], N: int, variant: str = "plain") -> None:
+    """Walk the chains of ``words`` missing from the exact table at N into it, in one sorted walk.
+
+    :func:`zn_apply` at N then reads these words from the table.  Every word
+    must lie in H1; an unknown variant raises DomainError.
+    """
+    chain_of = variant_chain(variant)
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    table = _chain_sums(N)
+    unseen = {chain_of(index_of_word(w)).steps for w in words} - table.keys()
+    walk = ChainWalk(IntegerRows(N), table)
+    for steps in sorted(unseen):  # in sorted order the chains walk their prefix trie
+        walk.value(steps)
+
+
 def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
-    """Linear extension of the chosen evaluator to H1 combinations, all words in one walk."""
+    """Linear extension of the chosen evaluator to H1 combinations.
+
+    Each word's chain sum comes from the exact table at N, which outlives the
+    call; the words missing there take one walk, in sorted order.
+    """
     chain_of = word_chain(x, variant)
     if N < 1:
         raise DomainError("N must be a positive integer")
     terms = sorted(((chain_of(w), c) for w, c in x.items()), key=lambda term: term[0].steps)
-    walk = ChainWalk(IntegerRows(N))  # in sorted order the chains walk their prefix trie
+    walk = ChainWalk(IntegerRows(N), _chain_sums(N))
     total = Fraction(0)
     for chain, c in terms:
         total += c * evaluate_chain(chain, N, walk)

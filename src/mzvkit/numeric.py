@@ -15,18 +15,20 @@ runs at the largest N of a grid and reads each chain's sum at every N of it:
 plain chains, whose rows at N are prefixes of their rows at any larger N,
 take one walk for a whole grid, and flat and natural chains, whose
 (N - n) ** -a weights change with N, one walk per N.  :func:`chain_value_f`
-walks a one-point grid.  :func:`zn_apply_f` keeps each word's float per
-(N, variant) for later calls and walks the words it has not seen there in
-one walk per grid.  The weight rows are slices of one read-only table of
-m ** -e per exponent e, shared by every walk: n ** -b over n = 1..N-1 is the
-table's first N - 1 entries and (N - n) ** -a the same slice reversed.  A
-table grows by powering only its new entries, and each walk trims the
-tables to its own exponents, so that memory follows the latest walk.  Every
-float equals that of evaluating each chain on its own at its N: the same
-power per weight (numpy's ``pow`` of a value does not depend on where it
-sits in an array), the same sequential ``cumsum``, ``.sum()`` over the first
-N - 1 entries of the last row, and the words combined as ``float(c) *
-value`` in term order.
+walks a one-point grid.  The float of each word is kept in a table per
+(N, variant) that lives across calls.  :func:`walk_words_f` walks the words
+of a set missing there in one sorted walk per grid, so that a campaign walks
+each distinct chain once; :func:`zn_apply_f` walks its own missing words
+through it and reads every word from the tables.  The weight rows are slices
+of one read-only table of m ** -e per exponent e, shared by every walk:
+n ** -b over n = 1..N-1 is the table's first N - 1 entries and (N - n) ** -a
+the same slice reversed.  A table grows by powering only its new entries,
+and each walk trims the tables to its own exponents, so that memory follows
+the latest walk.  Every float equals that of evaluating each chain on its
+own at its N: the same power per weight (numpy's ``pow`` of a value does not
+depend on where it sits in an array), the same sequential ``cumsum``,
+``.sum()`` over the first N - 1 entries of the last row, and the words
+combined as ``float(c) * value`` in term order.
 
 The rate campaigns evaluate whole grids in one call: :func:`zn_apply_f` over
 a sequence of N, and :func:`li_value` over a sequence of z, building the
@@ -46,7 +48,7 @@ import numpy as np
 
 from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
 from .errors import CapExceededError, DomainError
-from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, word_chain
+from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, variant_chain, word_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -421,45 +423,64 @@ def r_value_f(args: RArgs, N: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _word_value_f(N: int, variant: str) -> dict[Word, float]:
-    """The float sums of the words evaluated so far at (N, variant), filled by :func:`zn_apply_f`."""
+    """The float sums of the words walked so far at (N, variant), filled by :func:`walk_words_f`."""
     return {}
+
+
+def walk_words_f(words: Iterable[Word], ns: Sequence[int], variant: str = "plain") -> None:
+    """Walk the words missing from the float tables at the N of ``ns`` into them.
+
+    For the plain variant that is one walk over the whole grid, at its
+    largest N; for flat and natural chains one walk per N.  Each walk takes
+    the missing chains in sorted order, so it walks their prefix trie once.
+    Every word must lie in H1; an unknown variant raises DomainError.
+    """
+    chain_of = variant_chain(variant)
+    known = {n: _word_value_f(n, variant) for n in sorted(set(ns))}
+    words = set(words)
+    for group in [list(known)] if variant == "plain" else [[n] for n in known]:
+        tables = [known[n] for n in group]
+        missing = [w for w in words if any(w not in table for table in tables)]
+        if missing:
+            # in sorted order the chains walk their prefix trie
+            unseen = sorted(((chain_of(index_of_word(w)), w) for w in missing), key=lambda item: item[0].steps)
+            walk = ChainWalk(FloatRows(group, _exponents(chain for chain, _ in unseen)))
+            for chain, w in unseen:
+                for table, value in zip(tables, chain_value_f(chain, group[-1], walk)):
+                    table[w] = value
 
 
 def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> float | list[float]:
     """Float64 twin of :func:`mzvkit.finite_sums.zn_apply`.
 
     ``N`` is one value or a sequence of them; a sequence gives one float per
-    N.  Each word's float is kept per (N, variant) for later calls.  The words
-    missing at some N share one :class:`FloatRows` walk: for the plain variant
-    one over the whole grid, for flat and natural chains one per N.
+    N.  Each word's float comes from the table of its (N, variant), which
+    outlives the call; the words missing there are walked into it by
+    :func:`walk_words_f`.
     """
-    chain_of = word_chain(x, variant)
+    word_chain(x, variant)  # x lies in H1 and the variant is known
     ns, scalar = _grid(N)
     if min(ns, default=1) < 1:
         raise DomainError("N must be a positive integer")
-    known = {n: _word_value_f(n, variant) for n in sorted(set(ns))}
     terms = x.items()
-    for group in [list(known)] if variant == "plain" else [[n] for n in known]:
-        tables = [known[n] for n in group]
-        missing = {w: None for table in tables for w, _ in terms if w not in table}
-        if missing:
-            # in sorted order the chains walk their prefix trie
-            unseen = sorted(((chain_of(w), w) for w in missing), key=lambda item: item[0].steps)
-            walk = ChainWalk(FloatRows(group, _exponents(chain for chain, _ in unseen)))
-            for chain, w in unseen:
-                for table, value in zip(tables, chain_value_f(chain, group[-1], walk)):
-                    table[w] = value
+    walk_words_f([w for w, _ in terms], ns, variant)
+    known = {n: _word_value_f(n, variant) for n in set(ns)}
     values = [sum(float(c) * known[n][w] for w, c in terms) for n in ns]
     return values[0] if scalar else values
 
 
 def harmonic_number_f(n: int) -> float:
-    """H_n as float64 (n up to a few 10^7)."""
+    """H_n as float64 (n up to a few 10^7).
+
+    The reciprocals overwrite the integers in place, so the sum holds one
+    array of n floats, not two.
+    """
     if n < 0:
         raise DomainError("harmonic numbers need n >= 0")
     if n == 0:
         return 0.0
-    return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+    terms = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.sum(np.divide(1.0, terms, out=terms)))
 
 
 # ---------------------------------------------------------------------------

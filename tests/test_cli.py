@@ -145,6 +145,14 @@ class TestCommands:
         assert main(["verify", "thm-edsr-star", "--tol", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_tol_sets_only_the_edsr_tolerance(self, tmp_path, capsys):
+        configs = {}
+        for name, extra in (("default", []), ("tol", ["--tol", "1e-3"])):
+            main(["verify", "all", "--max-weight", "1", "--out", str(tmp_path / name), *extra])
+            configs[name] = json.loads((tmp_path / name / "summary.json").read_text())["config"]
+        assert configs["tol"]["edsrTol"] == 1e-3 != configs["default"]["edsrTol"]
+        assert {**configs["tol"], "edsrTol": None} == {**configs["default"], "edsrTol": None}
+
     def test_nan_tolerances_are_usage_errors(self, capsys):
         assert main(["verify", "thm-edsr-star", "--tol", "nan"]) == 2
         assert main(["mzv", "2", "--tol", "nan"]) == 2

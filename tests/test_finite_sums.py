@@ -202,20 +202,69 @@ class TestLinearMaps:
         # the benchmark's tracer counts the DP work of zn_apply at evaluate_chain
         import mzvkit.finite_sums as fs
 
-        seen = []
+        seen, step_calls = [], []
         original = fs.evaluate_chain
 
         def counting(chain, N, walk=None):
             seen.append((chain.steps, N))
             return original(chain, N, walk)
 
+        class CountingRows(IntegerRows):
+            def step(self, weights, values, strict):
+                step_calls.append(len(values))
+                return super().step(weights, values, strict)
+
         monkeypatch.setattr(fs, "evaluate_chain", counting)
+        monkeypatch.setattr(fs, "IntegerRows", CountingRows)
+        fs._chain_sums.cache_clear()
         product = harmonic(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1)))
-        value = zn_apply(product, 7, "flat")
         expected = {ConstraintChain.flat(index_of_word(w)).steps for w in product.support()}
-        assert sorted(seen) == seen and {steps for steps, _ in seen} == expected and len(seen) == len(product)
-        assert {N for _, N in seen} == {7}
-        assert value == sum((c * brute_force(index_of_word(w), 7, kind="flat") for w, c in product.items()), Fraction(0))
+        oracle = sum((c * brute_force(index_of_word(w), 7, kind="flat") for w, c in product.items()), Fraction(0))
+        for call in ("cold", "warm"):
+            seen.clear()
+            step_calls.clear()
+            assert zn_apply(product, 7, "flat") == oracle, call
+            assert sorted(seen) == seen and {steps for steps, _ in seen} == expected and len(seen) == len(product)
+            assert {N for _, N in seen} == {7}
+            # the second call reads every sum from the table at N = 7 and walks nothing
+            assert (len(step_calls) > 0) == (call == "cold"), call
+
+    def test_walk_words_fills_the_table_in_one_sorted_walk(self, monkeypatch):
+        import mzvkit.finite_sums as fs
+
+        step_calls = []
+
+        class CountingRows(IntegerRows):
+            def step(self, weights, values, strict):
+                step_calls.append(len(values))
+                return super().step(weights, values, strict)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk_words goes round zn_apply and evaluate_chain")
+
+        x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
+        combos = (x, y, shuffle(x, y), harmonic(x, y))
+        words = {w for z in combos for w in z.support()}
+        chains = {ConstraintChain.natural(index_of_word(w)).steps for w in words}
+        fs._chain_sums.cache_clear()
+        monkeypatch.setattr(fs, "IntegerRows", CountingRows)
+        with monkeypatch.context() as m:
+            m.setattr(fs, "zn_apply", refuse)
+            m.setattr(fs, "evaluate_chain", refuse)
+            fs.walk_words(words, 9, "natural")
+            assert len(step_calls) == len({c[:i] for c in chains for i in range(2, len(c) + 1)})
+            assert set(fs._chain_sums(9)) == chains
+            step_calls.clear()
+            fs.walk_words(words, 9, "natural")  # every chain known: nothing to walk
+            assert step_calls == []
+        for z in combos:
+            expected = sum((c * brute_force(index_of_word(w), 9, kind="natural") for w, c in z.items()), Fraction(0))
+            assert zn_apply(z, 9, "natural") == expected
+        assert step_calls == []  # zn_apply read every word from the table
+        with pytest.raises(DomainError):
+            fs.walk_words([Word.parse("01")], 9)
+        with pytest.raises(DomainError):
+            fs.walk_words(words, 9, "fancy")
 
     def test_n_one(self):
         for variant in ("plain", "flat", "natural"):

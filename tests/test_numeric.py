@@ -266,6 +266,10 @@ class TestEulerGamma:
         gaps = [abs(harmonic_number_f(n) - math.log(n) - EULER_GAMMA) for n in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_in_place_reciprocals_give_the_floats_of_a_second_array(self):
+        for n in (1, 2, 10, 10 ** 5 - 1, 10 ** 6 - 1):
+            assert harmonic_number_f(n) == float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64))), n
+
 
 class TestEvalRegPolynomial:
     def test_plain_t(self):
@@ -447,6 +451,30 @@ class TestNGrid:
         walked.clear()
         zn_apply_f(extra, [16, 32, 16], "flat")  # one walk per N for flat and natural chains
         assert walked == [(ConstraintChain.flat(idx(3)).steps, 16), (ConstraintChain.flat(idx(3)).steps, 32)]
+
+    def test_walk_words_f_walks_a_word_set_once_per_grid(self, monkeypatch):
+        built = []
+
+        class Counting(num.FloatRows):
+            def __init__(self, ns, exponents):
+                built.append(tuple(ns))
+                super().__init__(ns, exponents)
+
+        x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
+        combos = (x, y, shuffle(x, y), harmonic(x, y) - shuffle(x, y))
+        words = {w for z in combos for w in z.support()}
+        ns = [16, 256, 64]
+        expected = {v: [self._fresh(z, ns, v) for z in combos] for v in ("plain", "natural")}
+        monkeypatch.setattr(num, "FloatRows", Counting)
+        for variant, walks in (("plain", [(16, 64, 256)]), ("natural", [(16,), (64,), (256,)])):
+            num._word_value_f.cache_clear()
+            built.clear()
+            num.walk_words_f(words, ns, variant)
+            assert built == walks, variant  # plain chains: one walk at the largest N
+            assert [zn_apply_f(z, ns, variant) for z in combos] == expected[variant], variant
+            assert built == walks, variant  # every word read from the tables
+        with pytest.raises(DomainError):
+            num.walk_words_f(words, ns, "fancy")
 
     def test_grid_validation(self):
         x = LinComb.of_index(idx(2))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 
 import mzvkit.numeric as num
 import mzvkit.verification as ver
-from mzvkit.algebra import Index, LinComb, word_of_index
+from mzvkit.algebra import Index, LinComb, harmonic, index_of_word, word_of_index
 from mzvkit.errors import CapExceededError, DomainError
+from mzvkit.finite_sums import ConstraintChain
 from mzvkit.numeric import Real
 from mzvkit.verification import (
     CAMPAIGNS,
@@ -30,6 +32,19 @@ from mzvkit.verification import (
 )
 
 FAST = CampaignConfig(max_weight=2, msw_max_weight=3, harmonic_pairs=10, harmonic_n=30)
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty word tables before and after the test: every word is walked, and no altered sum is left behind."""
+
+    def clear():
+        ver.fs._chain_sums.cache_clear()
+        num._word_value_f.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 class TestConfig:
@@ -94,6 +109,20 @@ class TestCampaignsPass:
             (report,) = campaign(FAST)
             rate_cases = [c for c in report.cases if "fit" in c.detail]
             assert rate_cases and calls == [FAST.n_schedule] * (per_case * len(rate_cases)), report.claim_id
+
+    def test_claim_time_covers_the_walk(self, monkeypatch, cold_tables):
+        original = num.walk_words_f
+        calls = []
+
+        def slow(words, ns, variant):
+            if not calls:  # the campaign's own walk, before any case
+                time.sleep(0.05)
+            calls.append(variant)
+            return original(words, ns, variant)
+
+        monkeypatch.setattr(num, "walk_words_f", slow)
+        (report,) = verify_asymp_shuffle(FAST)
+        assert calls and report.elapsed_ms >= 50
 
     def test_asymp_li(self):
         (report,) = verify_asymp_li(FAST)
@@ -196,6 +225,46 @@ class TestSoundness:
         (case,) = [c for c in heavy if c.key == "w1=(1,1,1,1,1);w0=(1,1,1,2)"]
         assert case.detail["exactN"] == 11
 
+    # the campaigns read their floats from the tables that walk_words_f fills;
+    # +1.0 on each stored word moves a residual by the combination's coefficient sum
+    @pytest.mark.parametrize(
+        "campaign, passing",
+        [
+            (verify_asymp_shuffle, set()),
+            (verify_asymp_dsr, {"w1=();w0=(2)", "w1=(1);w0=(2)"}),  # defects of coefficient sum 0
+            (verify_asymp_h, set()),
+        ],
+    )
+    def test_offset_float_table_fails_every_rate_case(self, monkeypatch, cold_tables, campaign, passing):
+        original = num.walk_words_f
+
+        def offset(words, ns, variant):
+            tables = [num._word_value_f(n, variant) for n in set(ns)]
+            before = [set(table) for table in tables]
+            original(words, ns, variant)
+            for table, seen in zip(tables, before):
+                for w in table.keys() - seen:
+                    table[w] += 1.0
+
+        monkeypatch.setattr(num, "walk_words_f", offset)
+        (report,) = campaign(FAST)
+        rate_cases = [c for c in report.cases if "fit" in c.detail]
+        assert rate_cases and {c.key for c in rate_cases if c.passed} == passing, report.claim_id
+
+    def test_offset_exact_table_fails_every_harmonic_case(self, monkeypatch, cold_tables):
+        original = ver.fs.walk_words
+
+        def offset(words, N, variant="plain"):
+            table = ver.fs._chain_sums(N)
+            seen = set(table)
+            original(words, N, variant)
+            for steps in table.keys() - seen:
+                table[steps] += Fraction(1, 10 ** 9)
+
+        monkeypatch.setattr(ver.fs, "walk_words", offset)
+        (report,) = verify_harmonic(FAST)
+        assert len(report.cases) == 10 and not any(c.passed for c in report.cases)
+
     def test_dropped_convolution_term_fails_edsr(self, monkeypatch):
         # drop the j = 0 term L(w) * L(empty): the whole word integrated below 1/2
         original = num._limit_with_error
@@ -258,6 +327,60 @@ class TestSoundness:
         for report in reports:
             rate_cases = [c for c in report.cases if "fit" in c.detail]
             assert rate_cases and not any(c.passed for c in rate_cases), report.claim_id
+
+
+class TestWordTables:
+    """Each campaign walks the distinct chains of all its cases once per N, and the cases read the tables."""
+
+    @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
+    def test_one_float_walk_per_n(self, monkeypatch, cold_tables, cfg):
+        built, steps = [], []
+
+        class Counting(num.FloatRows):
+            def __init__(self, ns, exponents):
+                built.append(tuple(ns))
+                super().__init__(ns, exponents)
+
+            def step(self, weights, values, strict):
+                steps.append(len(values))
+                return super().step(weights, values, strict)
+
+        monkeypatch.setattr(num, "FloatRows", Counting)
+        verify_asymp_shuffle(cfg)
+        assert sorted(built) == [(n,) for n in cfg.n_schedule]  # natural chains: one walk per N
+        if cfg == CampaignConfig():
+            assert len(steps) <= 600  # 1837 steps in 220 walks before the campaign walked its words at once
+        built.clear()
+        verify_asymp_dsr(cfg)
+        assert built == [cfg.n_schedule]  # plain chains: one walk in all
+
+    @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
+    def test_harmonic_walks_each_distinct_prefix_once(self, monkeypatch, cold_tables, cfg):
+        steps = []
+
+        class Counting(ver.fs.IntegerRows):
+            def step(self, weights, values, strict):
+                steps.append(len(values))
+                return super().step(weights, values, strict)
+
+        monkeypatch.setattr(ver.fs, "IntegerRows", Counting)
+        (report,) = verify_harmonic(cfg)
+        chains = set()
+        for case in report.cases:
+            x, y = (LinComb.of_index(Index.parse(case.inputs[k])) for k in ("k1", "k2"))
+            for z in (harmonic(x, y), x, y):
+                chains.update(ConstraintChain.plain(index_of_word(w)).steps for w in z.support())
+        # the first step of a chain is its weight row; each longer distinct prefix costs one step
+        assert len(steps) == len({c[:i] for c in chains for i in range(2, len(c) + 1)})
+        if cfg == CampaignConfig():
+            assert len(steps) <= 330  # 1190 steps when each call walked its own words
+
+    @pytest.mark.parametrize(
+        "campaign", [verify_harmonic, verify_asymp_shuffle, verify_asymp_dsr, verify_asymp_h]
+    )
+    def test_warm_tables_give_the_bytes_of_a_cold_run(self, cold_tables, campaign):
+        cold = [r.to_json() for r in campaign(FAST)]
+        assert [r.to_json() for r in campaign(FAST)] == cold
 
 
 class TestCatalog:
