@@ -216,14 +216,8 @@ class LinComb:
         data: dict[Word, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                new = data.get(word, Fraction(0)) + coeff
-                if new:
-                    data[word] = new
-                else:
-                    data.pop(word, None)
-        self._terms = data
+            data[word] = data.get(word, 0) + Fraction(coeff)
+        self._terms = {w: c for w, c in data.items() if c}
         self._items = None
 
     @classmethod
@@ -289,12 +283,8 @@ class LinComb:
             return NotImplemented
         merged = dict(self._terms)
         for word, coeff in other._terms.items():
-            new = merged.get(word, Fraction(0)) + coeff
-            if new:
-                merged[word] = new
-            else:
-                merged.pop(word, None)
-        return LinComb._of_terms(merged)
+            merged[word] = merged.get(word, 0) + coeff
+        return LinComb._of_terms({w: c for w, c in merged.items() if c})
 
     def __neg__(self) -> "LinComb":
         return LinComb._of_terms({w: -c for w, c in self._terms.items()})
@@ -363,12 +353,8 @@ def harmonic(x: LinComb, y: LinComb) -> LinComb:
             scale = cx * cy
             for parts, mult in _harmonic_parts(u, v):
                 word = word_of_index(Index(parts))
-                new = acc.get(word, Fraction(0)) + scale * mult
-                if new:
-                    acc[word] = new
-                else:
-                    acc.pop(word, None)
-    return LinComb._of_terms(acc)
+                acc[word] = acc.get(word, 0) + scale * mult
+    return LinComb._of_terms({w: c for w, c in acc.items() if c})
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,12 +380,8 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
         for wy, cy in y.items():
             scale = cx * cy
             for word, mult in _shuffle_words(wx, wy):
-                new = acc.get(word, Fraction(0)) + scale * mult
-                if new:
-                    acc[word] = new
-                else:
-                    acc.pop(word, None)
-    return LinComb._of_terms(acc)
+                acc[word] = acc.get(word, 0) + scale * mult
+    return LinComb._of_terms({w: c for w, c in acc.items() if c})
 
 
 def indices_of_weight(weight: int) -> list[Index]:

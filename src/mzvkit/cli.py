@@ -180,12 +180,18 @@ def _cmd_mzv(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.claim == "all":
-        _, status = run_all(cfg, echo=print)
-        return status
     if args.claim in OUT_OF_SCOPE_CLAIMS:
         print(f"{args.claim} is out of scope: {OUT_OF_SCOPE_CLAIMS[args.claim]}", file=sys.stderr)
         return 2
+    if cfg.out_dir is not None:
+        # before any campaign runs, so that a bad path costs no run
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"cannot create the report directory: {exc}") from exc
+    if args.claim == "all":
+        _, status = run_all(cfg, echo=print)
+        return status
     reports = verify_claim(cfg, args.claim)
     write_reports(reports, cfg)
     for report in reports:

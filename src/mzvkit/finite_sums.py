@@ -9,16 +9,16 @@ sequence of chains: each chain continues from the prefix it shares with the
 one before, so chains in sorted order walk their prefix trie, each distinct
 prefix costs one step and only the rows of the current path are held.  The
 walk remembers the sum of every chain it walks, in a table it is given or in
-one of its own.  It is generic over its arithmetic; :class:`IntegerRows` here
+one of its own; :meth:`ChainWalk.walk` walks a chain set's missing chains in
+sorted order.  It is generic over its arithmetic; :class:`IntegerRows` here
 and :class:`mzvkit.numeric.FloatRows` are the two.  :func:`evaluate_chain`
 evaluates one chain in a walk of its own or in one it is given.
 
-:func:`zn_apply` reads each word of a combination from a table of exact chain
-sums per N that lives across calls, and walks the chains missing there in one
-walk per call.  :func:`walk_words` fills that table for a whole word set in
-one sorted walk, so that a campaign walks each distinct chain once per N.
-Only sums outlive a call, never rows: a row at N holds N - 1 numerators of
-about 1.44 * w * N bits.
+:func:`walk_words` walks the chains of a word set missing from a table of
+exact chain sums per N that lives across calls, so that a campaign walks each
+distinct chain once per N; :func:`zn_apply` walks its own missing chains
+likewise, then reads every word from the table.  Only sums outlive a call,
+never rows: a row at N holds N - 1 numerators of about 1.44 * w * N bits.
 
 The diagonal terms of a product of two strict-chain sums come from a second
 prefix-sum DP over the merge grid of their steps.  The naive enumeration of
@@ -193,8 +193,8 @@ class ChainWalk:
 
     The walk remembers the sum of every chain it walks in ``sums``, a dict
     keyed by steps, and reads a chain found there instead of walking it.
-    ``sums`` may be a table that outlives the walk, as :func:`zn_apply` passes
-    one; the rows never do.
+    ``sums`` may be a table that outlives the walk, as :func:`walk_words`
+    passes one; the rows never do.
     """
 
     def __init__(self, rows, sums: dict | None = None) -> None:
@@ -223,6 +223,11 @@ class ChainWalk:
         total = self.sums[steps] = rows.total(path[-1], steps) if steps else rows.one
         return total
 
+    def walk(self, chains: Iterable[tuple[Step, ...]]) -> None:
+        """Walk the chains with these steps that are missing from ``sums``, in sorted order: along their prefix trie."""
+        for steps in sorted({steps for steps in chains if steps not in self.sums}):
+            self.value(steps)
+
 
 def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> Fraction:
     """Exact chain sum over 0 < n_1 R n_2 R ... R n_k < N by prefix-sum DP,
@@ -230,7 +235,7 @@ def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None
 
     ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, continues from the
     chains evaluated in it before and reads a chain already in its table;
-    :func:`zn_apply` passes one to all its words.
+    :func:`zn_apply` reads all its words through one.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -278,17 +283,6 @@ def variant_chain(variant: str) -> Callable[[Index], ConstraintChain]:
         raise DomainError(f"variant must be one of {sorted(VARIANTS)}, got {variant!r}") from None
 
 
-def word_chain(x: LinComb, variant: str) -> Callable[[Word], ConstraintChain]:
-    """The chain of a word under ``variant``, once ``x`` is checked to lie in H1.
-
-    An unknown variant raises DomainError also when ``x`` has no terms.
-    """
-    chain_of = variant_chain(variant)
-    if not x.in_h1:
-        raise DomainError("zn_apply requires support in H1")
-    return lambda w: chain_of(index_of_word(w))
-
-
 @functools.lru_cache(maxsize=None)
 def _chain_sums(N: int) -> dict[tuple[Step, ...], Fraction]:
     """The exact sums of the chains walked so far at N, by steps; :func:`zn_apply` and :func:`walk_words` fill it."""
@@ -304,24 +298,21 @@ def walk_words(words: Iterable[Word], N: int, variant: str = "plain") -> None:
     chain_of = variant_chain(variant)
     if N < 1:
         raise DomainError("N must be a positive integer")
-    table = _chain_sums(N)
-    unseen = {chain_of(index_of_word(w)).steps for w in words} - table.keys()
-    walk = ChainWalk(IntegerRows(N), table)
-    for steps in sorted(unseen):  # in sorted order the chains walk their prefix trie
-        walk.value(steps)
+    ChainWalk(IntegerRows(N), _chain_sums(N)).walk(chain_of(index_of_word(w)).steps for w in words)
 
 
 def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     """Linear extension of the chosen evaluator to H1 combinations.
 
-    Each word's chain sum comes from the exact table at N, which outlives the
-    call; the words missing there take one walk, in sorted order.
+    The chains missing from the exact table at N, which outlives the call,
+    take one :meth:`ChainWalk.walk`; then every word is read from the table.
     """
-    chain_of = word_chain(x, variant)
+    chain_of = variant_chain(variant)
     if N < 1:
         raise DomainError("N must be a positive integer")
-    terms = sorted(((chain_of(w), c) for w, c in x.items()), key=lambda term: term[0].steps)
+    terms = [(chain_of(index_of_word(w)), c) for w, c in x.items()]
     walk = ChainWalk(IntegerRows(N), _chain_sums(N))
+    walk.walk(chain.steps for chain, _ in terms)
     total = Fraction(0)
     for chain, c in terms:
         total += c * evaluate_chain(chain, N, walk)

@@ -17,10 +17,11 @@ take one walk for a whole grid, and flat and natural chains, whose
 (N - n) ** -a weights change with N, one walk per N.  :func:`chain_value_f`
 walks a one-point grid.  The float of each word is kept in a table per
 (N, variant) that lives across calls.  :func:`walk_words_f` walks the words
-of a set missing there in one sorted walk per grid, so that a campaign walks
-each distinct chain once; :func:`zn_apply_f` walks its own missing words
-through it and reads every word from the tables.  The weight rows are slices
-of one read-only table of m ** -e per exponent e, shared by every walk:
+of a set missing there, through :meth:`~mzvkit.finite_sums.ChainWalk.walk`,
+once per grid, so that a campaign walks each distinct chain once;
+:func:`zn_apply_f` walks its own missing words through it and reads every
+word from the tables it returns.  The weight rows are slices of one
+read-only table of m ** -e per exponent e, shared by every walk:
 n ** -b over n = 1..N-1 is the table's first N - 1 entries and (N - n) ** -a
 the same slice reversed.  A table grows by powering only its new entries,
 and each walk trims the tables to its own exponents, so that memory follows
@@ -48,7 +49,7 @@ import numpy as np
 
 from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
 from .errors import CapExceededError, DomainError
-from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, variant_chain, word_chain
+from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, variant_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -383,24 +384,16 @@ class FloatRows:
         return tuple(float(values[: n - 1].sum()) for n in self.ns)
 
 
-def _exponents(chains: Iterable[ConstraintChain]) -> set[int]:
-    """The non-zero weight exponents of these chains."""
-    return {e for chain in chains for step in chain.steps for e in (step.a, step.b) if e}
+def _exponents(chains: Iterable[tuple[Step, ...]]) -> set[int]:
+    """The non-zero weight exponents of the chains with these steps."""
+    return {e for steps in chains for _, a, b in steps for e in (a, b) if e}
 
 
-def chain_value_f(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> float | tuple[float, ...]:
-    """Chain sum over 0 < n_1 R n_2 R ... R n_k < N in float64.
-
-    ``walk``, a :class:`~mzvkit.finite_sums.ChainWalk` over a
-    ``FloatRows(ns, exponents)`` with ``ns[-1] == N`` that covers this
-    chain's exponents, continues from the chains evaluated in it before, and
-    the result is then the tuple of the chain's sums at each N of ``ns``.
-    """
+def chain_value_f(chain: ConstraintChain, N: int) -> float:
+    """Chain sum over 0 < n_1 R n_2 R ... R n_k < N in float64, in a walk of its own."""
     if N < 1:
         raise DomainError("N must be a positive integer")
-    if walk is None:
-        return ChainWalk(FloatRows((N,), _exponents([chain]))).value(chain.steps)[0]
-    return walk.value(chain.steps)
+    return ChainWalk(FloatRows((N,), _exponents([chain.steps]))).value(chain.steps)[0]
 
 
 def zeta_lt_f(k: Index | Iterable[int], N: int) -> float:
@@ -427,27 +420,30 @@ def _word_value_f(N: int, variant: str) -> dict[Word, float]:
     return {}
 
 
-def walk_words_f(words: Iterable[Word], ns: Sequence[int], variant: str = "plain") -> None:
+def walk_words_f(words: Iterable[Word], ns: Sequence[int], variant: str = "plain") -> list[dict[Word, float]]:
     """Walk the words missing from the float tables at the N of ``ns`` into them.
 
     For the plain variant that is one walk over the whole grid, at its
-    largest N; for flat and natural chains one walk per N.  Each walk takes
-    the missing chains in sorted order, so it walks their prefix trie once.
-    Every word must lie in H1; an unknown variant raises DomainError.
+    largest N; for flat and natural chains one walk per N.  Only a word
+    missing at some N of a walk's grid has its chain built, and each walk
+    takes the missing chains through
+    :meth:`~mzvkit.finite_sums.ChainWalk.walk`, so it walks their prefix trie
+    once.  Returns the tables of the N of ``ns``, in order.  Every word must
+    lie in H1; an unknown variant raises DomainError.
     """
     chain_of = variant_chain(variant)
     known = {n: _word_value_f(n, variant) for n in sorted(set(ns))}
     words = set(words)
     for group in [list(known)] if variant == "plain" else [[n] for n in known]:
         tables = [known[n] for n in group]
-        missing = [w for w in words if any(w not in table for table in tables)]
+        missing = {w: chain_of(index_of_word(w)).steps for w in words if any(w not in table for table in tables)}
         if missing:
-            # in sorted order the chains walk their prefix trie
-            unseen = sorted(((chain_of(index_of_word(w)), w) for w in missing), key=lambda item: item[0].steps)
-            walk = ChainWalk(FloatRows(group, _exponents(chain for chain, _ in unseen)))
-            for chain, w in unseen:
-                for table, value in zip(tables, chain_value_f(chain, group[-1], walk)):
+            walk = ChainWalk(FloatRows(group, _exponents(missing.values())))
+            walk.walk(missing.values())
+            for w, steps in missing.items():
+                for table, value in zip(tables, walk.sums[steps]):
                     table[w] = value
+    return [known[n] for n in ns]
 
 
 def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> float | list[float]:
@@ -455,17 +451,17 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
 
     ``N`` is one value or a sequence of them; a sequence gives one float per
     N.  Each word's float comes from the table of its (N, variant), which
-    outlives the call; the words missing there are walked into it by
-    :func:`walk_words_f`.
+    outlives the call; :func:`walk_words_f` walks the words missing there
+    into it and returns the tables, so a word already known at every N costs
+    no chain.  An unknown variant, or a word outside H1 at any N, raises
+    DomainError.
     """
-    word_chain(x, variant)  # x lies in H1 and the variant is known
     ns, scalar = _grid(N)
     if min(ns, default=1) < 1:
         raise DomainError("N must be a positive integer")
     terms = x.items()
-    walk_words_f([w for w, _ in terms], ns, variant)
-    known = {n: _word_value_f(n, variant) for n in set(ns)}
-    values = [sum(float(c) * known[n][w] for w, c in terms) for n in ns]
+    tables = walk_words_f([w for w, _ in terms], ns, variant)
+    values = [sum(float(c) * table[w] for w, c in terms) for table in tables]
     return values[0] if scalar else values
 
 

@@ -75,8 +75,8 @@ class CampaignConfig:
             raise ValueError("the N schedule must be strictly increasing")
         if any(n < 2 for n in self.n_schedule):
             raise ValueError("schedule entries must be at least 2")
-        if not self.edsr_tol > 0:
-            raise ValueError("edsr_tol must be positive")
+        if not 0 < self.edsr_tol < math.inf:
+            raise ValueError("edsr_tol must be positive and finite")
         if self.out_format not in ("json", "csv"):
             raise ValueError("out_format must be 'json' or 'csv'")
         if min(self.max_weight, self.msw_max_weight, self.harmonic_weight) < 0:

@@ -135,6 +135,36 @@ class TestLinComb:
         x = LinComb([(Word.parse("10"), Fraction(1)), (Word.parse("10"), Fraction(-1))])
         assert not x and len(x) == 0 and x == LinComb.zero()
 
+    def test_cancelling_terms_leave_no_zero_coefficient(self):
+        w, v = Word.parse("10"), Word.parse("110")
+        a, b, c = (LinComb.of_word(Word.parse(t)) for t in ("10", "01", "1"))
+        x, y = comb(1, 2), comb(2, 1)
+
+        def difference(left, right):
+            out = dict(left)
+            for key, k in right.items():
+                out[key] = out.get(key, 0) - k
+            return {key: k for key, k in out.items() if k}
+
+        results = [
+            (LinComb([(w, 1), (w, -1), (w, 2)]), LinComb.of_word(w, 2)),
+            (LinComb([(w, 1), (v, 3), (w, -1)]), LinComb.of_word(v, 3)),
+            ((a + c) + (c * -1 - a * 2), LinComb.of_word(Word.parse("10"), -1)),
+            # 10 sh 1 and 01 sh 1 share the word 101
+            (
+                shuffle(a - b, c),
+                comb_from_letters(difference(shuffle_oracle((1, 0), (1,)), shuffle_oracle((0, 1), (1,)))),
+            ),
+            # (1,2) * (1) and (2,1) * (1) share (1,2,1) and (2,2)
+            (
+                harmonic(x - y, comb(1)),
+                comb_from_parts(difference(quasi_shuffle_oracle((1, 2), (1,)), quasi_shuffle_oracle((2, 1), (1,)))),
+            ),
+        ]
+        for z, expected in results:
+            assert z == expected and z
+            assert all(isinstance(k, Fraction) and k != 0 for k in z._terms.values())
+
     def test_serialize_canonical_order(self):
         x = LinComb.of_word(Word.parse("110")) + LinComb.of_word(Word.parse("10"), 2)
         assert x.serialize() == [("2/1", "10"), ("1/1", "110")]

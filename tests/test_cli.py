@@ -158,6 +158,26 @@ class TestCommands:
         assert main(["mzv", "2", "--tol", "nan"]) == 2
         assert capsys.readouterr().err.count("error") == 2
 
+    def test_infinite_edsr_tolerance_is_a_usage_error(self, capsys):
+        assert main(["verify", "thm-edsr-star", "--tol", "inf"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_naming_a_file_fails_before_any_campaign(self, under, tmp_path, capsys, monkeypatch):
+        import mzvkit.verification as ver
+
+        def refuse(cfg):
+            raise AssertionError("a campaign ran before the report directory was made")
+
+        monkeypatch.setattr(ver, "CAMPAIGNS", tuple((name, refuse, claims) for name, _, claims in ver.CAMPAIGNS))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "reports" if under else taken
+        for claim in ("thm-msw", "all"):
+            assert main(["verify", claim, "--max-weight", "2", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_claim_without_cases_fails(self, tmp_path, capsys):
         assert main(["verify", "thm-main", "--max-weight", "1", "--out", str(tmp_path)]) == 1
         assert "thm-main: FAIL (0 cases" in capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzvkit import euler_maclaurin as em
+from mzvkit import finite_sums as fs
 from mzvkit import numeric as num
 from mzvkit.algebra import (
     Index,
@@ -430,10 +431,13 @@ class TestNGrid:
 
     def test_each_unseen_word_is_walked_once(self, monkeypatch):
         walked = []
-        original = num.chain_value_f
-        monkeypatch.setattr(
-            num, "chain_value_f", lambda chain, N, walk=None: walked.append((chain.steps, N)) or original(chain, N, walk)
-        )
+
+        class Counting(num.FloatRows):
+            def total(self, values, steps):
+                walked.append((steps, self.ns[-1]))
+                return super().total(values, steps)
+
+        monkeypatch.setattr(num, "FloatRows", Counting)
         x = shuffle(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1)))
         plain = sorted(ConstraintChain.plain(index_of_word(w)).steps for w, _ in x.items())
         num._word_value_f.cache_clear()
@@ -475,6 +479,26 @@ class TestNGrid:
             assert built == walks, variant  # every word read from the tables
         with pytest.raises(DomainError):
             num.walk_words_f(words, ns, "fancy")
+
+    def test_known_words_build_no_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a word known at every N had its chain built or walked")
+
+        x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
+        combos = (x, y, shuffle(x, y), harmonic(x, y) - shuffle(x, y))
+        words = {w for z in combos for w in z.support()}
+        ns = [16, 256, 64]
+        for variant in ("plain", "natural"):
+            expected = [self._fresh(z, ns, variant) for z in combos]
+            num._word_value_f.cache_clear()
+            tables = num.walk_words_f(words, ns, variant)
+            assert tables == [num._word_value_f(n, variant) for n in ns]
+            with monkeypatch.context() as m:
+                m.setattr(num, "index_of_word", refuse)
+                m.setitem(fs.VARIANTS, variant, refuse)
+                m.setattr(num, "FloatRows", refuse)
+                assert [zn_apply_f(z, ns, variant) for z in combos] == expected, variant
+                assert [zn_apply_f(z, ns[1], variant) for z in combos] == [v[1] for v in expected], variant
 
     def test_grid_validation(self):
         x = LinComb.of_index(idx(2))
@@ -529,7 +553,8 @@ class TestInversePowerTable:
         walk = ChainWalk(num.FloatRows((300,), {1, 2, 3}))
         assert zeta_lt_f(idx(5), 1000) == chain_value_f_oracle(ConstraintChain.plain(idx(5)), 1000)
         assert set(num._INVERSE_POWERS) == {5}  # the tables of the earlier walk are gone
-        assert chain_value_f(chain, 300, walk) == (chain_value_f_oracle(chain, 300),)  # one sum per N of the grid
+        assert walk.value(chain.steps) == (chain_value_f_oracle(chain, 300),)  # one sum per N of the grid
+        assert chain_value_f(chain, 300) == chain_value_f_oracle(chain, 300)
 
     def test_table_slices_are_read_only(self):
         rows = num.FloatRows((10,), {1, 2})

@@ -57,6 +57,8 @@ class TestConfig:
             CampaignConfig(edsr_tol=0.0)
         with pytest.raises(ValueError):
             CampaignConfig(edsr_tol=float("nan"))
+        with pytest.raises(ValueError):  # an infinite tolerance would pass any residual
+            CampaignConfig(edsr_tol=float("inf"))
 
 
 class TestCampaignsPass:
@@ -241,10 +243,11 @@ class TestSoundness:
         def offset(words, ns, variant):
             tables = [num._word_value_f(n, variant) for n in set(ns)]
             before = [set(table) for table in tables]
-            original(words, ns, variant)
+            walked = original(words, ns, variant)
             for table, seen in zip(tables, before):
                 for w in table.keys() - seen:
                     table[w] += 1.0
+            return walked
 
         monkeypatch.setattr(num, "walk_words_f", offset)
         (report,) = campaign(FAST)
