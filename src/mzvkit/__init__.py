@@ -17,7 +17,6 @@ from .algebra import (
     index_of_word,
     indices_of_weight,
     indices_up_to_weight,
-    jset,
     shuffle,
     word_of_index,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "index_of_word",
     "indices_of_weight",
     "indices_up_to_weight",
-    "jset",
     "li_value",
     "mzv",
     "poly_mul",

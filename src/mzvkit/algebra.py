@@ -194,18 +194,6 @@ def index_of_word(w: Word) -> Index:
     return Index(tuple(parts))
 
 
-def jset(k: Index) -> frozenset[int]:
-    """Positions {1, k1+1, k1+k2+1, ...} where the word of ``k`` carries e1."""
-    if not k.parts:
-        raise DomainError("the empty index has no position set")
-    positions = []
-    total = 0
-    for part in k.parts:
-        positions.append(total + 1)
-        total += part
-    return frozenset(positions)
-
-
 class LinComb:
     """A finite rational-linear combination of words, zero terms dropped."""
 

@@ -3,16 +3,18 @@
 Four families share one dynamic program over a chain of constrained summation
 variables n_1, ..., n_k in (0, N): per position the relation to the previous
 variable is strict or non-strict, and the summand factor is
-1 / ((N - n)^a * n^b).  Prefix sums give O(k * N) operations instead of the
-naive O(N^k) enumeration.  :class:`ChainWalk` is that DP, once, for a
-sequence of chains: each chain continues from the prefix it shares with the
-one before, so chains in sorted order walk their prefix trie, each distinct
-prefix costs one step and only the rows of the current path are held.  The
-walk remembers the sum of every chain it walks, in a table it is given or in
-one of its own; :meth:`ChainWalk.walk` walks a chain set's missing chains in
-sorted order.  It is generic over its arithmetic; :class:`IntegerRows` here
-and :class:`mzvkit.numeric.FloatRows` are the two.  :func:`evaluate_chain`
-evaluates one chain in a walk of its own or in one it is given.
+1 / ((N - n)^a * n^b).  The flat and natural chains of an index are read off
+the letters of its word, one step per letter.  Prefix sums give O(k * N)
+operations instead of the naive O(N^k) enumeration.  :class:`ChainWalk` is
+that DP, once, for a sequence of chains: each chain continues from the prefix
+it shares with the one before, so chains in sorted order walk their prefix
+trie, each distinct prefix costs one step and only the rows of the current
+path are held.  The walk remembers the sum of every chain it walks, in a
+table it is given or in one of its own; :meth:`ChainWalk.walk` walks a chain
+set's missing chains in sorted order.  It is generic over its arithmetic;
+:class:`IntegerRows` here and :class:`mzvkit.numeric.FloatRows` are the two.
+:func:`evaluate_chain` evaluates one chain in a walk of its own or in one it
+is given.
 
 :func:`walk_words` walks the chains of a word set missing from a table of
 exact chain sums per N that lives across calls, so that a campaign walks each
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .algebra import Index, LinComb, Word, index_of_word, jset
+from .algebra import Index, LinComb, Word, index_of_word, word_of_index
 from .errors import CapExceededError, DomainError
 
 Rational = Fraction
@@ -102,8 +104,22 @@ class Step(NamedTuple):
     b: int  # exponent on n
 
 
+# the step of each letter (e0, e1) of an index's word in its flat and natural chains
+_FLAT_STEPS = (Step(False, 0, 1), Step(True, 1, 0))  # weights 1/n and 1/(N - n)
+_NATURAL_STEPS = (Step(True, 0, 1), Step(True, 1, 0))
+
+
 @dataclass(frozen=True)
 class ConstraintChain:
+    """The variables 0 < n_1 R n_2 R ... R n_k < N of a nested sum, one :class:`Step` each.
+
+    The plain chain of k is strict with weight 1/n^k_i at part i.  The flat
+    and natural chains take one step per letter of k's word: J(k), the set of
+    its e1 positions, gets strict steps weighted 1/(N - n), and the e0
+    positions steps weighted 1/n, non-strict in the flat chain and strict in
+    the natural one.
+    """
+
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
@@ -118,20 +134,11 @@ class ConstraintChain:
 
     @classmethod
     def flat(cls, k: Index) -> "ConstraintChain":
-        if not k.parts:
-            return cls(())
-        strict_at = jset(k)
-        steps = []
-        for i in range(1, k.weight + 1):
-            if i in strict_at:
-                steps.append(Step(True, 1, 0))  # weight 1/(N-n)
-            else:
-                steps.append(Step(False, 0, 1))  # weight 1/n
-        return cls(tuple(steps))
+        return cls(tuple(_FLAT_STEPS[letter] for letter in word_of_index(k).letters()))
 
     @classmethod
     def natural(cls, k: Index) -> "ConstraintChain":
-        return cls(tuple(Step(True, s.a, s.b) for s in cls.flat(k).steps))
+        return cls(tuple(_NATURAL_STEPS[letter] for letter in word_of_index(k).letters()))
 
     @classmethod
     def from_rargs(cls, args: RArgs) -> "ConstraintChain":
@@ -235,12 +242,15 @@ def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None
 
     ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, continues from the
     chains evaluated in it before and reads a chain already in its table;
-    :func:`zn_apply` reads all its words through one.
+    :func:`zn_apply` reads all its words through one.  A walk at another N
+    raises DomainError.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
     if walk is None:
         walk = ChainWalk(IntegerRows(N))
+    elif walk.rows.N != N:
+        raise DomainError(f"the walk runs at N={walk.rows.N}, not at N={N}")
     return walk.value(chain.steps)
 
 

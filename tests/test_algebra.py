@@ -18,7 +18,6 @@ from mzvkit.algebra import (
     index_of_word,
     indices_of_weight,
     indices_up_to_weight,
-    jset,
     shuffle,
     word_of_index,
 )
@@ -61,20 +60,6 @@ class TestWordsAndIndices:
     @given(small_indices)
     def test_round_trip(self, k):
         assert index_of_word(word_of_index(k)) == k
-
-    def test_jset_examples(self):
-        assert sorted(jset(idx(2, 1))) == [1, 3]
-        assert sorted(jset(idx(1, 1, 1))) == [1, 2, 3]
-        assert sorted(jset(idx(3))) == [1]
-        with pytest.raises(DomainError):
-            jset(idx())
-
-    @given(small_indices.filter(lambda k: k.parts))
-    def test_jset_reproduces_the_word(self, k):
-        positions = jset(k)
-        letters = tuple(1 if i in positions else 0 for i in range(1, k.weight + 1))
-        assert Word.from_letters(letters) == word_of_index(k)
-        assert len(positions) == k.depth
 
     def test_membership_predicates(self):
         assert Word.parse("10").in_h0 and Word.parse("10").in_h1

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzvkit.algebra import Index, LinComb, Word, harmonic, index_of_word, indices_up_to_weight, shuffle
+from mzvkit.algebra import (
+    Index,
+    LinComb,
+    Word,
+    harmonic,
+    index_of_word,
+    indices_up_to_weight,
+    shuffle,
+    word_of_index,
+)
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import (
     ChainWalk,
@@ -428,3 +437,35 @@ class TestChainValidation:
 
     def test_empty_chain_value(self):
         assert evaluate_chain(ConstraintChain(()), 7) == 1
+
+    def test_a_walk_at_another_n_raises(self):
+        chain = ConstraintChain.plain(idx(1, 2))
+        with pytest.raises(DomainError):
+            evaluate_chain(chain, 5, ChainWalk(IntegerRows(9)))
+        assert evaluate_chain(chain, 5, ChainWalk(IntegerRows(5))) == Fraction(17, 32)
+
+
+class TestChainsOfWords:
+    def test_each_step_follows_its_letter(self):
+        # e1: strict, weight 1/(N-n); e0: weight 1/n, non-strict in the flat chain only
+        for k in indices_up_to_weight(8, include_empty=True):
+            letters = word_of_index(k).letters()
+            flat = ConstraintChain.flat(k).steps
+            natural = ConstraintChain.natural(k).steps
+            assert len(flat) == len(natural) == k.weight
+            for letter, f, n in zip(letters, flat, natural):
+                if letter:
+                    assert f == n == Step(True, 1, 0), k
+                else:
+                    assert (f, n) == (Step(False, 0, 1), Step(True, 0, 1)), k
+            # the strict steps of the flat chain are J(k): they spell the word, one per part
+            assert Word.from_letters(int(step.strict) for step in flat) == word_of_index(k)
+            assert sum(step.strict for step in flat) == k.depth
+
+    def test_natural_does_not_build_the_flat_chain(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("natural goes through flat")
+
+        monkeypatch.setattr(ConstraintChain, "flat", refuse)
+        steps = ConstraintChain.natural(idx(2, 1)).steps
+        assert steps == (Step(True, 1, 0), Step(True, 0, 1), Step(True, 1, 0))

@@ -10,6 +10,7 @@ import pytest
 import mzvkit.numeric as num
 import mzvkit.verification as ver
 from mzvkit.algebra import Index, LinComb, harmonic, index_of_word, word_of_index
+from mzvkit.cli import _parse_schedule
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import ConstraintChain
 from mzvkit.numeric import Real
@@ -487,6 +488,27 @@ class TestReports:
         )
         run_all(cfg)
         assert (tmp_path / "thm-msw.csv").exists()
+
+    @pytest.mark.parametrize(
+        "schedule, failed",
+        [
+            # too few points for every rate fit
+            ("2:8", {"prop-flat-natural", "lemma-R-i", "lemma-R-ii", "lemma-R-iii", "prop-asymp-shuffle",
+                     "thm-main", "prop-asymp-H", "prop-asymp-Li"}),
+            ("3:1000", {"prop-asymp-Li"}),  # no power of two for the z grid
+            ("100:100000", {"thm-msw", "prop-asymp-Li"}),  # no N within the exact-sweep cap either
+        ],
+    )
+    def test_accepted_schedules_run_to_a_verdict(self, tmp_path, schedule, failed):
+        cfg = replace(FAST, n_schedule=_parse_schedule(schedule), out_dir=str(tmp_path))
+        reports, status = run_all(cfg)
+        assert status == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert {claim for claim, verdict in summary["claims"].items() if verdict == "fail"} == failed
+        by_claim = {r.claim_id: r for r in reports}
+        if "thm-msw" in failed:
+            assert not by_claim["thm-msw"].cases
+        assert all("error" in c.detail for c in by_claim["prop-asymp-Li"].cases)
 
     def test_raising_campaign_keeps_finished_reports(self, tmp_path, monkeypatch):
         def raising(cfg):
