@@ -3,9 +3,11 @@
 A word is the tuple (length, bits), its letters packed MSB-first into bits,
 so tuple order is the canonical order: by length, then lexicographic.  The
 rational span of words starting with e1 (plus the empty word) is the algebra
-H1; words that additionally end with e0 span the subalgebra H0.  Both
-products are implemented by the standard right-recursion and extended
-bilinearly to linear combinations with exact rational coefficients.
+H1; words that additionally end with e0 span the subalgebra H0.  Each
+product is a right recursion on a table of word pairs: the harmonic product
+(Hoffman's quasi-shuffle on the letters z_k = e1 e0^(k-1)) on the last part
+of each word, the shuffle on the last letter.  One bilinear extension takes
+both tables to linear combinations with exact rational coefficients.
 
 All values here are immutable and all operations are pure; the memoization
 caches behind the two products are ordinary ``lru_cache`` stores, which are
@@ -18,7 +20,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError
 
@@ -307,69 +309,62 @@ class LinComb:
         return f"LinComb({str(self)})"
 
 
+WordTable = tuple[tuple[Word, int], ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _harmonic_parts(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # right recursion: u,v as index tuples; returns sorted ((index, mult), ...)
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc: dict[tuple[int, ...], int] = {}
-    k1, k2 = u[-1], v[-1]
-    for parts, mult in _harmonic_parts(u[:-1], v):
-        key = parts + (k1,)
-        acc[key] = acc.get(key, 0) + mult
-    for parts, mult in _harmonic_parts(u, v[:-1]):
-        key = parts + (k2,)
-        acc[key] = acc.get(key, 0) + mult
-    for parts, mult in _harmonic_parts(u[:-1], v[:-1]):
-        key = parts + (k1 + k2,)
-        acc[key] = acc.get(key, 0) + mult
+def _harmonic_parts(a: Word, b: Word) -> WordTable:
+    # right recursion on the last parts of two H1 words: a word ends in
+    # z_k = e1 e0^(k-1) when its lowest set bit is bit k - 1
+    if a.is_empty:
+        return ((b, 1),)
+    if b.is_empty:
+        return ((a, 1),)
+    ka, kb = (a.bits & -a.bits).bit_length(), (b.bits & -b.bits).bit_length()
+    rest_a, rest_b = a.drop_last(ka), b.drop_last(kb)
+    acc: dict[Word, int] = {}
+    for u, v, k in ((rest_a, b, ka), (a, rest_b, kb), (rest_a, rest_b, ka + kb)):
+        for prefix, mult in _harmonic_parts(u, v):
+            key = Word((prefix.bits << k) | (1 << (k - 1)), prefix.length + k)
+            acc[key] = acc.get(key, 0) + mult
     return tuple(sorted(acc.items()))
 
 
-def harmonic(x: LinComb, y: LinComb) -> LinComb:
-    """The harmonic (quasi-shuffle) product, defined on H1."""
-    for operand in (x, y):
-        if not operand.in_h1:
-            raise DomainError("harmonic product operands must be supported in H1")
-    acc: dict[Word, Fraction] = {}
-    for wx, cx in x.items():
-        u = index_of_word(wx).parts
-        for wy, cy in y.items():
-            v = index_of_word(wy).parts
-            scale = cx * cy
-            for parts, mult in _harmonic_parts(u, v):
-                word = word_of_index(Index(parts))
-                acc[word] = acc.get(word, 0) + scale * mult
-    return LinComb._of_terms({w: c for w, c in acc.items() if c})
-
-
 @functools.lru_cache(maxsize=None)
-def _shuffle_words(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
+def _shuffle_words(a: Word, b: Word) -> WordTable:
     if a.is_empty:
         return ((b, 1),)
     if b.is_empty:
         return ((a, 1),)
     acc: dict[Word, int] = {}
-    for prefix, mult in _shuffle_words(a.drop_last(), b):
-        key = prefix.append(a.last)
-        acc[key] = acc.get(key, 0) + mult
-    for prefix, mult in _shuffle_words(a, b.drop_last()):
-        key = prefix.append(b.last)
-        acc[key] = acc.get(key, 0) + mult
+    for u, v, letter in ((a.drop_last(), b, a.last), (a, b.drop_last(), b.last)):
+        for prefix, mult in _shuffle_words(u, v):
+            key = prefix.append(letter)
+            acc[key] = acc.get(key, 0) + mult
     return tuple(sorted(acc.items()))
 
 
-def shuffle(x: LinComb, y: LinComb) -> LinComb:
-    """The shuffle product, defined on all words."""
+def _bilinear(x: LinComb, y: LinComb, table: Callable[[Word, Word], WordTable]) -> LinComb:
+    """The bilinear extension of a product whose word pairs multiply by ``table``."""
     acc: dict[Word, Fraction] = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
             scale = cx * cy
-            for word, mult in _shuffle_words(wx, wy):
+            for word, mult in table(wx, wy):
                 acc[word] = acc.get(word, 0) + scale * mult
     return LinComb._of_terms({w: c for w, c in acc.items() if c})
+
+
+def harmonic(x: LinComb, y: LinComb) -> LinComb:
+    """The harmonic (quasi-shuffle) product, defined on H1."""
+    if not (x.in_h1 and y.in_h1):
+        raise DomainError("harmonic product operands must be supported in H1")
+    return _bilinear(x, y, _harmonic_parts)
+
+
+def shuffle(x: LinComb, y: LinComb) -> LinComb:
+    """The shuffle product, defined on all words."""
+    return _bilinear(x, y, _shuffle_words)
 
 
 def indices_of_weight(weight: int) -> list[Index]:

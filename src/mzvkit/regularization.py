@@ -18,7 +18,7 @@ reg of one word has a closed form on each side:
   with the integer multiplicities of ``_shuffle_words``.
 * harmonic: reg_* is an algebra map with reg_*(e1) = 0.  The product
   (u.e1^(n-1)) * e1 holds u.e1^n with multiplicity n, and every other word of
-  it (``_harmonic_parts`` of the two indices) has fewer trailing e1, so
+  it (``_harmonic_parts`` of the two words) has fewer trailing e1, so
   n reg_*(u.e1^n) = -reg_*((u.e1^(n-1)) * e1 - n u.e1^n) is a triangular
   recursion.
 
@@ -45,9 +45,7 @@ from .algebra import (
     _harmonic_parts,
     _shuffle_words,
     harmonic,
-    index_of_word,
     shuffle,
-    word_of_index,
 )
 from .errors import DomainError
 
@@ -172,8 +170,7 @@ def _star_word(w: Word) -> WordRows:
         return 1, (((w, 1),),)
     below = math.factorial(n - 1)
     acc: dict[Word, int] = {}
-    for parts, mult in _harmonic_parts(index_of_word(w.drop_last()).parts, (1,)):
-        v = word_of_index(Index(parts))
+    for v, mult in _harmonic_parts(w.drop_last(), Word(1, 1)):
         if v == w:  # multiplicity n, the left-hand side of the recursion
             continue
         den, rows = _star_word(v)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mzvkit.algebra as algebra
 from mzvkit.algebra import (
     EMPTY_WORD,
     Index,
@@ -220,6 +221,18 @@ class TestHarmonicProduct:
         admissible = [idx(2), idx(3), idx(1, 2), idx(2, 2), idx(1, 1, 2)]
         for u, v in itertools.product(admissible, repeat=2):
             assert harmonic(LinComb.of_index(u), LinComb.of_index(v)).in_h0
+
+    def test_word_table_matches_quasi_shuffle_oracle(self):
+        # the table right-recurses on words; cold, every pair up to weight 8 is built by that recursion
+        algebra._harmonic_parts.cache_clear()
+        indices = indices_up_to_weight(8, include_empty=True)
+        for u in indices:
+            for v in indices:
+                if u.weight + v.weight > 8:
+                    continue
+                oracle = quasi_shuffle_oracle(u.parts, v.parts).items()
+                expected = tuple(sorted((word_of_index(Index(parts)), mult) for parts, mult in oracle))
+                assert algebra._harmonic_parts(word_of_index(u), word_of_index(v)) == expected, (u, v)
 
 
 class TestShuffleProduct:

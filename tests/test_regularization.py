@@ -23,7 +23,7 @@ from mzvkit.regularization import (
 )
 from mzvkit.verification import CampaignConfig, verify_edsr
 
-from _oracles import decompose_oracle
+from _oracles import comb_from_parts, decompose_oracle, quasi_shuffle_oracle
 
 
 def idx(*parts):
@@ -264,6 +264,26 @@ class TestIndependence:
         for x, poly in zip(defects, expected):
             assert shuffle_decompose(x) == poly
             assert reg_shuffle(x) == poly.coeff(0)
+
+
+@pytest.mark.usefixtures("cold_word_caches")
+def test_harmonic_side_builds_no_index(monkeypatch):
+    """Products and star decompositions read the word table directly, never through an ``Index``."""
+    pairs = [(idx(*k), idx(*l)) for k in ((1, 1), (2, 1, 1)) for l in ((2,), (1, 2))]
+    operands = [(LinComb.of_index(k), LinComb.of_index(l)) for k, l in pairs]
+    products = [comb_from_parts(quasi_shuffle_oracle(k.parts, l.parts)) for k, l in pairs]
+    defects = _defects()
+    expected = [decompose_oracle(x, "harmonic") for x in defects]
+    algebra._harmonic_parts.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("an Index was built")
+
+    monkeypatch.setattr(Index, "__post_init__", refuse)
+    for (x, y), product in zip(operands, products):
+        assert harmonic(x, y) == product
+    for x, poly in zip(defects, expected):
+        assert star_decompose(x) == poly
 
 
 def _sabotage(monkeypatch, name: str, target: Word) -> None:

@@ -61,6 +61,18 @@ class TestConfig:
         with pytest.raises(ValueError):  # an infinite tolerance would pass any residual
             CampaignConfig(edsr_tol=float("inf"))
 
+    def test_schedule_must_not_be_empty(self):
+        # an empty schedule would stop run_all at lemma-R-i's noise floor,
+        # after 3 reports and before summary.json
+        with pytest.raises(ValueError):
+            CampaignConfig(n_schedule=())
+
+    def test_harmonic_n_must_be_positive(self):
+        # harmonic_n = 0 would raise DomainError from inside verify_harmonic
+        with pytest.raises(ValueError):
+            CampaignConfig(harmonic_n=0)
+        assert CampaignConfig(harmonic_n=1).harmonic_n == 1
+
 
 class TestCampaignsPass:
     def test_msw(self):
@@ -145,6 +157,14 @@ class TestCampaignsPass:
         star, sh = verify_edsr(FAST)
         assert star.claim_id == "thm-edsr-star" and sh.claim_id == "thm-edsr-sh"
         assert star.passed and sh.passed
+
+    def test_edsr_builds_each_defect_once(self, monkeypatch):
+        calls = []
+        product = ver.harmonic
+        monkeypatch.setattr(ver, "harmonic", lambda x, y: calls.append((x, y)) or product(x, y))
+        star, sh = verify_edsr(FAST)
+        assert star.passed and sh.passed
+        assert len(calls) == len(star.cases) == len(sh.cases)  # one harmonic product per pair, for both claims
 
     def test_edsr_one_side_and_one_mzv_per_word(self, monkeypatch):
         calls = []
