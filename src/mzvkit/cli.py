@@ -1,5 +1,9 @@
 """Command-line interface.
 
+``verify <claim>`` and ``verify all`` share one runner,
+:func:`mzvkit.verification.run_all`, which checks the claim, makes the report
+directory, runs the campaigns, prints one line per claim and writes the reports.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or domain error.
 """
@@ -11,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
 from decimal import Decimal
 
 from . import finite_sums as fs
@@ -19,13 +22,7 @@ from . import numeric as num
 from . import regularization as reg
 from .algebra import Index, LinComb, Word, harmonic, shuffle
 from .errors import CapExceededError, DomainError
-from .verification import (
-    OUT_OF_SCOPE_CLAIMS,
-    CampaignConfig,
-    run_all,
-    verify_claim,
-    write_reports,
-)
+from .verification import CampaignConfig, run_all
 
 
 # The exact DP builds one row per chain step, and row i holds N integers of
@@ -112,22 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    cfg = CampaignConfig()
-    overrides = {}
-    if args.max_weight is not None:
-        overrides["max_weight"] = args.max_weight
-    if args.n_schedule is not None:
-        overrides["n_schedule"] = _parse_schedule(args.n_schedule)
-    if args.tol is not None:
-        overrides["edsr_tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
+    fields = {
+        "max_weight": args.max_weight,
+        "n_schedule": None if args.n_schedule is None else _parse_schedule(args.n_schedule),
+        "edsr_tol": args.tol,
+        "seed": args.seed,
+        "out_dir": args.out,
+        "out_format": args.format,
+    }
     try:
-        return replace(cfg, **overrides)
+        return CampaignConfig(**{name: value for name, value in fields.items() if value is not None})
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
@@ -179,25 +170,8 @@ def _cmd_mzv(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    if args.claim in OUT_OF_SCOPE_CLAIMS:
-        print(f"{args.claim} is out of scope: {OUT_OF_SCOPE_CLAIMS[args.claim]}", file=sys.stderr)
-        return 2
-    if cfg.out_dir is not None:
-        # before any campaign runs, so that a bad path costs no run
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise DomainError(f"cannot create the report directory: {exc}") from exc
-    if args.claim == "all":
-        _, status = run_all(cfg, echo=print)
-        return status
-    reports = verify_claim(cfg, args.claim)
-    write_reports(reports, cfg)
-    for report in reports:
-        print(f"{report.claim_id}: {report.verdict.upper()} "
-              f"({len(report.cases)} cases, {report.elapsed_ms:.0f} ms)")
-    return 0 if all(r.passed for r in reports) else 1
+    _, status = run_all(_config_from_args(args), args.claim, echo=print)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -459,9 +459,9 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
     ns, scalar = _grid(N)
     if min(ns, default=1) < 1:
         raise DomainError("N must be a positive integer")
-    terms = x.items()
+    terms = [(w, float(c)) for w, c in x.items()]  # each coefficient converted once, not once per N
     tables = walk_words_f([w for w, _ in terms], ns, variant)
-    values = [sum(float(c) * table[w] for w, c in terms) for table in tables]
+    values = [sum(c * table[w] for w, c in terms) for table in tables]
     return values[0] if scalar else values
 
 

@@ -83,6 +83,8 @@ class CampaignConfig:
             raise ValueError("out_format must be 'json' or 'csv'")
         if min(self.max_weight, self.msw_max_weight, self.harmonic_weight) < 0:
             raise ValueError("weight bounds must be non-negative")
+        if self.msw_max_weight > 8:
+            raise ValueError("cost guard: thm-msw's exact sweep is limited to msw_max_weight <= 8")
 
     def to_dict(self) -> dict:
         return {
@@ -240,8 +242,6 @@ def _random_index(rng: random.Random, max_weight: int) -> Index:
 
 def verify_msw(cfg: CampaignConfig) -> list[Report]:
     """Exact equality of the plain and discretized truncated sums."""
-    if cfg.msw_max_weight > 8:
-        raise DomainError("cost guard: the exact sweep is limited to weight <= 8")
     n_values = [n for n in cfg.n_schedule if n <= MSW_N_CAP]  # none: the claim fails with 0 cases
     indices = [k for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
     items = [(k, n) for k in indices for n in n_values]
@@ -556,15 +556,6 @@ def campaign_for_claim(claim_id: str) -> Callable[[CampaignConfig], list[Report]
     raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
 
 
-def verify_claim(cfg: CampaignConfig, claim_id: str) -> list[Report]:
-    """The report of one claim.  The EDSR campaign checks only that claim's
-    side; other campaigns run whole and the reports of their other claims are dropped."""
-    campaign = campaign_for_claim(claim_id)
-    if campaign is verify_edsr:
-        return verify_edsr(cfg, (claim_id,))
-    return [r for r in campaign(cfg) if r.claim_id == claim_id]
-
-
 def write_reports(reports: Sequence[Report], cfg: CampaignConfig) -> list[Path]:
     if cfg.out_dir is None:
         return []
@@ -572,12 +563,8 @@ def write_reports(reports: Sequence[Report], cfg: CampaignConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for report in reports:
-        if cfg.out_format == "json":
-            path = out / f"{report.claim_id}.json"
-            path.write_text(report.to_json())
-        else:
-            path = out / f"{report.claim_id}.csv"
-            path.write_text(report.to_csv())
+        path = out / f"{report.claim_id}.{cfg.out_format}"
+        path.write_text(report.to_json() if cfg.out_format == "json" else report.to_csv())
         written.append(path)
     return written
 
@@ -596,16 +583,35 @@ def write_summary(reports: Sequence[Report], cfg: CampaignConfig) -> Path | None
     return path
 
 
-def run_all(cfg: CampaignConfig, *, echo: Callable[[str], None] | None = None) -> tuple[list[Report], int]:
-    """Run every campaign, write reports, and return (reports, exit status).
+def run_all(
+    cfg: CampaignConfig, claim: str = "all", *, echo: Callable[[str], None] | None = None
+) -> tuple[list[Report], int]:
+    """Run every campaign, or the one of ``claim``, write reports, and return (reports, exit status).
 
-    If a campaign raises, the reports of the campaigns before it are written
-    and ``summary.json`` is not.
+    One claim keeps and writes only its own report, and no ``summary.json``;
+    an EDSR claim checks only its own side.  An unknown or out-of-scope claim,
+    or a report directory that cannot be made, raises DomainError before any
+    campaign runs.  If a campaign raises, the reports of the campaigns before
+    it are written and ``summary.json`` is not.
     """
+    if claim == "all":
+        campaigns = [func for _, func, _ in CAMPAIGNS]
+    elif claim in EDSR_SIDES:
+        campaigns = [lambda cfg: verify_edsr(cfg, (claim,))]
+    else:
+        campaigns = [campaign_for_claim(claim)]
+    if cfg.out_dir is not None:
+        # before any campaign runs, so that a bad path costs no run
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"cannot create the report directory: {exc}") from exc
     reports: list[Report] = []
     try:
-        for _, func, _ in CAMPAIGNS:
+        for func in campaigns:
             for report in func(cfg):
+                if claim not in ("all", report.claim_id):
+                    continue  # another claim of the same campaign
                 reports.append(report)
                 if echo is not None:
                     echo(
@@ -614,9 +620,10 @@ def run_all(cfg: CampaignConfig, *, echo: Callable[[str], None] | None = None) -
                     )
     finally:
         write_reports(reports, cfg)
-    write_summary(reports, cfg)
-    if echo is not None:
-        for claim, note in OUT_OF_SCOPE_CLAIMS.items():
-            echo(f"{claim}: OUT-OF-SCOPE ({note})")
+    if claim == "all":
+        write_summary(reports, cfg)
+        if echo is not None:
+            for out_of_scope, note in OUT_OF_SCOPE_CLAIMS.items():
+                echo(f"{out_of_scope}: OUT-OF-SCOPE ({note})")
     status = 0 if all(r.passed for r in reports) else 1
     return reports, status

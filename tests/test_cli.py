@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -201,8 +202,20 @@ class TestCommands:
         assert main(["verify", "prop-asymp-shuffle", "--max-weight", "4", "--n-schedule", "16:256"]) == 0
         assert "prop-asymp-shuffle: PASS" in capsys.readouterr().out
 
-    def test_verify_unknown_claim(self, capsys):
-        assert main(["verify", "thm-nonsense"]) == 2
+    def test_verify_unknown_claim(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["verify", "no-such-claim", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()  # the claim is looked up before the report directory is made
+
+    def test_one_claim_prints_the_line_of_the_full_run(self, tmp_path, capsys):
+        def lines(claim):
+            assert main(["verify", claim, "--max-weight", "2", "--out", str(tmp_path / claim)]) == 0
+            return [re.sub(r"\d+ ms\)$", "ms)", line) for line in capsys.readouterr().out.splitlines()]
+
+        full = lines("all")
+        for claim in ("thm-edsr-sh", "lemma-R-ii"):
+            assert lines(claim) == [line for line in full if line.startswith(f"{claim}: ")]
 
     def test_verify_all_small(self, tmp_path, capsys):
         code = main(

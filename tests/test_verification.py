@@ -82,8 +82,10 @@ class TestCampaignsPass:
         assert len(report.cases) == 7 * sum(1 for n in FAST.n_schedule if n <= 60)
 
     def test_msw_cost_guard(self):
-        with pytest.raises(DomainError):
-            verify_msw(CampaignConfig(msw_max_weight=9))
+        # refused by the config, so that no run stops at thm-msw partway
+        with pytest.raises(ValueError):
+            CampaignConfig(msw_max_weight=9)
+        assert CampaignConfig(msw_max_weight=8).msw_max_weight == 8
 
     def test_harmonic(self):
         (report,) = verify_harmonic(FAST)
@@ -529,6 +531,32 @@ class TestReports:
         if "thm-msw" in failed:
             assert not by_claim["thm-msw"].cases
         assert all("error" in c.detail for c in by_claim["prop-asymp-Li"].cases)
+
+    def test_one_edsr_claim_runs_only_its_side(self, tmp_path, monkeypatch):
+        def refuse(x):
+            raise AssertionError("thm-edsr-sh computed the star regularization")
+
+        monkeypatch.setattr(ver.reg, "reg_star", refuse)
+        reports, status = run_all(replace(FAST, out_dir=str(tmp_path)), "thm-edsr-sh")
+        assert status == 0 and [(r.claim_id, r.passed) for r in reports] == [("thm-edsr-sh", True)]
+        assert [p.name for p in tmp_path.iterdir()] == ["thm-edsr-sh.json"]
+
+    def test_one_claim_keeps_only_its_report(self):
+        reports, status = run_all(FAST, "lemma-R-ii")
+        whole = {r.claim_id: r for r in verify_lemma_r(FAST)}
+        assert status == 0
+        assert [r.to_json() for r in reports] == [whole["lemma-R-ii"].to_json()]
+
+    @pytest.mark.parametrize("claim", ["thm-regularization-rho", "no-such-claim"])
+    def test_unknown_or_out_of_scope_claim_runs_nothing(self, claim, tmp_path, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError(f"a campaign ran for {claim}")
+
+        monkeypatch.setattr(ver, "CAMPAIGNS", tuple((name, refuse, claims) for name, _, claims in CAMPAIGNS))
+        out = tmp_path / "reports"
+        with pytest.raises(DomainError):
+            run_all(replace(FAST, out_dir=str(out)), claim)
+        assert not out.exists()
 
     def test_raising_campaign_keeps_finished_reports(self, tmp_path, monkeypatch):
         def raising(cfg):
