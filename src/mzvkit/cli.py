@@ -33,6 +33,13 @@ from .verification import CampaignConfig, run_all
 # runs for minutes.
 SUM_COST_CAP = 6 * 10_000 ** 2
 
+# The star decomposition of an index that ends in 1 recurses through the
+# harmonic products of its words with e1 and memoizes every word it reaches,
+# so its cost follows the weight: about 3x per unit.  (1^13) takes about 1 s
+# and 85 MB, (1^14) and (2,1^12) about 3.5 s and 185 MB, and (1^16) 16 s and
+# 1.3 GB.  An admissible index, and the shuffle side, cost about 0 ms.
+STAR_WEIGHT_CAP = 14
+
 
 def parse_operand(text: str) -> LinComb:
     """Parse a word-or-index operand.
@@ -97,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claim", help="a claim id or 'all'")
     p_verify.add_argument("--max-weight", type=int, default=None)
     p_verify.add_argument("--n-schedule", type=str, default=None, help="'a:b' doubling schedule")
-    p_verify.add_argument(
-        "--tol", type=float, default=None,
-        help="residual tolerance of thm-edsr-star and thm-edsr-sh (edsr_tol); the other tolerances are fixed",
-    )
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", type=str, default=None, help="directory for report files")
     p_verify.add_argument("--format", choices=("json", "csv"), default=None)
@@ -112,7 +115,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     fields = {
         "max_weight": args.max_weight,
         "n_schedule": None if args.n_schedule is None else _parse_schedule(args.n_schedule),
-        "edsr_tol": args.tol,
         "seed": args.seed,
         "out_dir": args.out,
         "out_format": args.format,
@@ -158,6 +160,10 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
     k = Index.parse(args.index)
+    if args.op == "star" and not k.admissible and k.weight > STAR_WEIGHT_CAP:
+        raise CapExceededError(
+            f"star regularization refused: index ({k}) ends in 1 and has weight {k.weight} (cap {STAR_WEIGHT_CAP})"
+        )
     poly = reg.z_star_polynomial(k) if args.op == "star" else reg.z_shuffle_polynomial(k)
     print(json.dumps(poly.serialize()))
     return 0

@@ -56,7 +56,10 @@ class CampaignConfig:
     Settings that no run varies are constants instead: the MZV and
     polylogarithm tolerances and the rate-fit slack in :mod:`mzvkit.numeric`,
     the exact-sweep N cap, the exact-decomposition N and the noise floor in
-    this module.  :meth:`to_dict` still records them.
+    this module.  :meth:`to_dict` still records them.  The EDSR claims have
+    no tolerance: a case passes iff its residual is at most the certified
+    error bound of its own float sum (:func:`_z_value`), with ``<=`` because
+    a defect that regularizes to the empty combination has both at 0.
     """
 
     max_weight: int = 3
@@ -65,7 +68,6 @@ class CampaignConfig:
     harmonic_pairs: int = 100
     harmonic_weight: int = 5
     harmonic_n: int = 100
-    edsr_tol: float = 1e-5
     seed: int = 20240801
     out_dir: str | None = None
     out_format: str = "json"
@@ -77,8 +79,6 @@ class CampaignConfig:
             raise ValueError("the N schedule must be non-empty, with entries at least 2")
         if self.harmonic_n < 1:
             raise ValueError("harmonic_n must be at least 1")
-        if not 0 < self.edsr_tol < math.inf:
-            raise ValueError("edsr_tol must be positive and finite")
         if self.out_format not in ("json", "csv"):
             raise ValueError("out_format must be 'json' or 'csv'")
         if min(self.max_weight, self.msw_max_weight, self.harmonic_weight) < 0:
@@ -96,7 +96,6 @@ class CampaignConfig:
             "harmonicWeight": self.harmonic_weight,
             "harmonicN": self.harmonic_n,
             "shuffleExactN": SHUFFLE_EXACT_N,
-            "edsrTol": self.edsr_tol,
             "mzvTol": num.DEFAULT_MZV_TOL,
             "liTol": num.DEFAULT_LI_TOL,
             "rateSlack": num.RATE_SLACK,
@@ -470,16 +469,29 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
 
 
 def _z_value(x: LinComb, zetas: dict[Word, num.Real]) -> tuple[float, float]:
-    """The MZV of an H0 combination and its error bound; ``zetas`` memoizes each word's MZV."""
-    value = 0.0
-    err = 0.0
+    """The MZV of an H0 combination as a float sum, and a certified bound on its error.
+
+    ``zetas`` memoizes each word's MZV.  For the n terms c * zeta of ``x``,
+    the bound is the MZVs' own bounds, sum |float(c)| * zeta.error_bound,
+    plus the rounding of float(c), of each product and of the n - 1
+    additions: gamma_(n+1) * sum |float(c) * zeta.value| (Higham, "Accuracy
+    and Stability of Numerical Algorithms", 2002, ch. 4).  ``num._gamma``'s
+    1% margin covers the second-order terms, such as the rounding of the
+    bound's own sums, since every MZV up to weight 12 has a bound below
+    1e-13 of its value.  The empty combination has value 0 and bound 0,
+    so a verdict that reads this bound must compare with ``<=``.
+    """
+    value = err = scale = 0.0
     for w, c in x.items():
         zeta = zetas.get(w)
         if zeta is None:
             zeta = zetas[w] = num.mzv(index_of_word(w), num.DEFAULT_MZV_TOL)
-        value += float(c) * zeta.value
-        err += abs(float(c)) * zeta.error_bound
-    return value, err
+        coefficient = float(c)
+        term = coefficient * zeta.value
+        value += term
+        scale += abs(term)
+        err += abs(coefficient) * zeta.error_bound
+    return value, err + num._gamma(len(x) + 1) * scale
 
 
 # each claim's regularization, named in ``reg`` so that a rebound one is called
@@ -489,6 +501,8 @@ EDSR_SIDES = {"thm-edsr-star": "reg_star", "thm-edsr-sh": "reg_shuffle"}
 def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) -> list[Report]:
     """Both regularizations annihilate the product defect numerically.
 
+    The MZV of each regularized defect is exactly 0, so a case passes iff
+    ``|value| <= errorBound``, the certified bound of :func:`_z_value`.
     ``claims`` picks the sides to check, so that one claim computes only its
     own.  Each pair's defect is built once, before the first claim.
     """
@@ -505,12 +519,12 @@ def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) 
         return Case(
             key=f"w1=({k});w0=({l})",
             inputs={"w1": str(k), "w0": str(l)},
-            passed=residual + err < cfg.edsr_tol,
-            detail={"residual": residual, "errorBound": err, "tol": cfg.edsr_tol, "terms": len(regularized)},
+            passed=residual <= err,
+            detail={"residual": residual, "errorBound": err, "terms": len(regularized)},
         )
 
     zetas: dict[Word, num.Real] = {}
-    params = {"maxWeight": cfg.max_weight, "tol": cfg.edsr_tol, "mzvTol": num.DEFAULT_MZV_TOL}
+    params = {"maxWeight": cfg.max_weight, "mzvTol": num.DEFAULT_MZV_TOL}
     reports = []
     for claim_id in claims:
         side = [(getattr(reg, EDSR_SIDES[claim_id]), *item) for item in items]

@@ -114,12 +114,12 @@ def test_criterion_4_euler_relation_through_pipeline():
 
 def test_criterion_5_edsr_sweep():
     started = time.perf_counter()
-    cfg = CampaignConfig(max_weight=3, edsr_tol=1e-5)
+    cfg = CampaignConfig(max_weight=3)
     star, sh = verify_edsr(cfg)
     # 8 left words (weights 0..3) against 4 admissible right words ((), (2), (3), (1,2))
     assert len(star.cases) == 32 and len(sh.cases) == 32
     assert star.passed and sh.passed
-    announce(5, "EDSR residuals < 1e-5 for all pairs up to weight 3, both maps", started)
+    announce(5, "EDSR residuals within their certified error bounds for all pairs up to weight 3, both maps", started)
 
 
 def test_criterion_6_harmonic_gamma_sentinel():

@@ -53,14 +53,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             CampaignConfig(n_schedule=(16, 16))
 
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(edsr_tol=0.0)
-        with pytest.raises(ValueError):
-            CampaignConfig(edsr_tol=float("nan"))
-        with pytest.raises(ValueError):  # an infinite tolerance would pass any residual
-            CampaignConfig(edsr_tol=float("inf"))
-
     def test_schedule_must_not_be_empty(self):
         # an empty schedule would stop run_all at lemma-R-i's noise floor,
         # after 3 reports and before summary.json
@@ -159,6 +151,12 @@ class TestCampaignsPass:
         star, sh = verify_edsr(FAST)
         assert star.claim_id == "thm-edsr-star" and sh.claim_id == "thm-edsr-sh"
         assert star.passed and sh.passed
+        # a defect that regularizes to the empty combination has value 0 and
+        # bound 0, so the verdict must be residual <= errorBound, not <
+        for report in verify_edsr(replace(FAST, max_weight=3)):
+            empty = [c for c in report.cases if c.detail["terms"] == 0]
+            assert len(empty) == 11, report.claim_id
+            assert all(c.passed and c.detail["residual"] == 0.0 == c.detail["errorBound"] for c in empty)
 
     def test_edsr_builds_each_defect_once(self, monkeypatch):
         calls = []
@@ -321,9 +319,30 @@ class TestSoundness:
         (case,) = [c for c in report.cases if c.key == "k=(2)"]
         assert not case.passed
 
-    def test_sabotaged_tolerance_is_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(edsr_tol=-1.0)
+    # the MZV of every regularized defect is 0, so an MZV error that does not
+    # cancel in the combination shows in its residual; (fewest failed star,
+    # sh cases) at max_weight 2, 3 and 4, of 8, 32 and 128 per side
+    @pytest.mark.parametrize(
+        "perturb, least_failed",
+        [
+            (lambda k, value: value + 1e-7, ((2, 2), (19, 19), (101, 99))),
+            (lambda k, value: value * (1 + 1e-6) if len(k.parts) >= 2 else value, ((3, 2), (12, 6), (30, 12))),
+        ],
+        ids=["plus-1e-7", "depth-2-times-1+1e-6"],
+    )
+    def test_perturbed_mzv_fails_edsr(self, monkeypatch, perturb, least_failed):
+        original = num.mzv
+
+        def perturbed(k, tol):
+            value = original(k, tol)
+            return Real(perturb(k, value.value), value.error_bound)
+
+        monkeypatch.setattr(num, "mzv", perturbed)
+        for weight, counts in zip((2, 3, 4), least_failed):
+            reports = verify_edsr(replace(FAST, max_weight=weight))
+            for report, least in zip(reports, counts):
+                assert report.verdict == "fail", (weight, report.claim_id)
+                assert sum(not c.passed for c in report.cases) >= least, (weight, report.claim_id)
 
     # lemma-R-i is left out: a constant offset does not break a log^a N growth bound
     @pytest.mark.parametrize(
