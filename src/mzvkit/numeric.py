@@ -43,6 +43,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,10 +66,10 @@ LI_TERM_CAP = 1 << 27  # terms li_value sums before it gives up on a point
 class Real:
     """A floating value with an absolute error bound.
 
-    From :func:`mzv` the bound is a certificate: a series tail bound plus a
-    bound on float64 rounding.  From :func:`li_value` it is a certified
-    series tail bound plus a relative rounding allowance, which is not a
-    certificate.
+    From :func:`mzv` and :func:`eval_reg_polynomial` the bound is a
+    certificate: series tail bounds and MZV bounds plus bounds on float64
+    rounding.  From :func:`li_value` it is a certified series tail bound plus
+    a relative rounding allowance, which is not a certificate.
     """
 
     value: float
@@ -106,26 +107,39 @@ def _half_point(w: Word, terms: int) -> tuple[float, float]:
     value = float(np.sum(np.ldexp(inner * _inverse_powers(parts[-1], terms), -m)))
     # per level: one rounded power, one product and fewer than ``terms`` additions
     rounding = _gamma(len(parts) * (terms + 2)) * value
+    return value, rounding + _series_tail(parts, 0.5, terms + 1)
 
-    # The inner sum below m is at most e_q(1, 1/2, ..., 1/(m-1)) <= H_(m-1)^q / q!
-    # <= (1 + log m)^q / q!, so the summand at m is at most
-    # b(m) = 2^-m m^-k_r (1 + log m)^q / q!, and b(m + 1) <= rho b(m) for every
-    # m past ``terms``: the tail is at most b(terms + 1) / (1 - rho).
+
+def _series_tail(parts: tuple[int, ...], z: float, lo: int) -> float:
+    """A certified bound on the terms m >= ``lo`` of the nested polylogarithm series of ``parts`` at z.
+
+    With r = len(parts) and q = r - 1, the summand at m is z^m m^-k_r g(m),
+    where g(m) = sum over 0 < m_1 < ... < m_q < m of prod m_i^-k_i.  For z
+    in (0, 1) every summand is non-negative, and as every k_i >= 1, g(m) is
+    at most e_q(1, 1/2, ..., 1/(m-1)) <= H_(m-1)^q / q! <= (1 + log m)^q / q!.
+    So the summand at m is at most b(m) = z^m m^-k_r (1 + log m)^q / q!.
+    For m >= lo, as (m / (m + 1))^k_r < 1 and log(1 + 1/m) <= 1/m,
+
+        b(m + 1) / b(m) <= z (1 + log(1 + 1/m) / (1 + log m))^q
+                        <= z exp(q / (m (1 + log m))) <= rho = z exp(q / (lo (1 + log lo))),
+
+    so the terms from lo on sum to at most b(lo) / (1 - rho) when rho < 1;
+    otherwise the bound is infinite.  b(lo) is formed in logs.
+    """
     q = len(parts) - 1
-    first = terms + 1
-    rho = 0.5 * math.exp(q / (first * (1.0 + math.log(first))))
+    rho = z * math.exp(q / (lo * (1.0 + math.log(lo))))
     if rho >= 1.0:
-        return value, math.inf
-    log_first_term = (
-        -first * math.log(2.0) - parts[-1] * math.log(first)
-        + q * math.log(1.0 + math.log(first)) - math.lgamma(q + 1)
-    )
-    return value, rounding + math.exp(log_first_term) / (1.0 - rho)
+        return math.inf
+    log_b = lo * math.log(z) - parts[-1] * math.log(lo) + q * math.log(1.0 + math.log(lo)) - math.lgamma(q + 1)
+    return math.exp(log_b) / (1.0 - rho)
 
 
+@functools.lru_cache(maxsize=None)
 def _inverse_powers(k: int, terms: int) -> np.ndarray:
-    """1 / m^k for m = 1..terms, each correctly rounded (integer true division)."""
-    return np.array([1 / m ** k for m in range(1, terms + 1)])
+    """1 / m^k for m = 1..terms, each correctly rounded (integer true division); read-only."""
+    powers = np.array([1 / m ** k for m in range(1, terms + 1)])
+    powers.flags.writeable = False
+    return powers
 
 
 def _gamma(count: int) -> float:
@@ -160,6 +174,8 @@ def _limit_with_error(parts: tuple[int, ...], tier: int) -> tuple[float, float]:
         head, head_err = _half_point(Word.from_letters(letters[:i]), terms)
         # the dual word: reversed, with e0 and e1 swapped
         tail, tail_err = _half_point(Word.from_letters(1 - x for x in reversed(letters[i:])), terms)
+        if math.isinf(head_err + tail_err):
+            return math.nan, math.inf  # a series with no certified tail at this tier
         value += head * tail
         bound += head_err * tail + (head + head_err) * tail_err
     # one rounded product per term and the sum of len(letters) + 1 non-negative terms
@@ -167,7 +183,11 @@ def _limit_with_error(parts: tuple[int, ...], tier: int) -> tuple[float, float]:
 
 
 def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
-    """Multiple zeta value of an admissible index, with a certified |error| <= tol."""
+    """Multiple zeta value of an admissible index, with a certified |error| <= tol.
+
+    An index whose bound reaches ``tol`` at neither tier raises
+    :class:`~mzvkit.errors.CapExceededError`.
+    """
     k = as_index(k)
     if not k.admissible:
         raise DomainError(f"index ({k}) is not admissible; the nested series diverges")
@@ -176,10 +196,10 @@ def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
     if not k.parts:
         return Real(1.0, 0.0)
     value, err = _limit_with_error(k.parts, 0)
-    if err > tol:
+    if not err <= tol:
         value, err = _limit_with_error(k.parts, 1)
-    if err > tol:
-        raise RuntimeError(f"could not reach tolerance {tol} for index ({k}); bound {err:.3e}")
+    if not err <= tol:
+        raise CapExceededError(f"could not reach tolerance {tol} for index ({k}); bound {err:.3e}")
     return Real(value, err)
 
 
@@ -201,7 +221,7 @@ def li_value(
     :class:`Real` per point.  The series runs in chunks of terms, and the
     inner sums of a chunk, which do not depend on z, are built once for every
     point still summing.  Each point stops at the chunk where its tail bound
-    (see :func:`_li_series`) falls below ``tol / 2``, as it would alone, so
+    (see :func:`_series_tail`) falls below ``tol / 2``, as it would alone, so
     every float equals that of a call at the point on its own.  The error
     bound is that tail bound plus a relative rounding allowance, which is not
     a certificate.  A point whose tail bound is still at least ``tol / 2``
@@ -221,29 +241,14 @@ def li_value(
 def _li_series(parts: tuple[int, ...], zs: list[float], tol: float) -> list[Real]:
     """The power series of :func:`li_value` at every point of ``zs`` in one pass.
 
-    With r = len(parts) and q = r - 1,
-
-        Li_k(z) = sum over m of z^m m^-k_r g(m),
-        g(m) = sum over 0 < m_1 < ... < m_q < m of prod m_i^-k_i.
-
-    The series runs in chunks of 2^14 terms.  Per chunk, g(m) m^-k_r, which
-    does not depend on z, is formed once; each point still summing adds
-    z^lo times the sum of that row against its own table of z^0 .. z^(2^14-1),
-    where lo is the chunk's first m.
-
-    The tail is certified.  For z in (0, 1) every summand is non-negative,
-    and as every k_i >= 1, g(m) is at most e_q(1, 1/2, ..., 1/(m-1)) <=
-    H_(m-1)^q / q! <= (1 + log m)^q / q!.  So the summand at m is at most
-    b(m) = z^m m^-k_r (1 + log m)^q / q!.  Let lo now be the first m not yet
-    summed.  For m >= lo, as (m / (m + 1))^k_r < 1 and log(1 + 1/m) <= 1/m,
-
-        b(m + 1) / b(m) <= z (1 + log(1 + 1/m) / (1 + log m))^q
-                        <= z exp(q / (m (1 + log m))) <= rho = z exp(q / (lo (1 + log lo))),
-
-    so the terms from lo on sum to at most b(lo) / (1 - rho) when rho < 1;
-    otherwise the bound is infinite.  A point stops once its bound is below
-    ``tol / 2``.  The rounding term, 1e-14 (1 + |value|), is an allowance
-    and not a certificate.
+    The series, Li_k(z) = sum over m of z^m m^-k_r g(m) with g as in
+    :func:`_series_tail`, runs in chunks of 2^14 terms.  Per chunk,
+    g(m) m^-k_r, which does not depend on z, is formed once; each point still
+    summing adds z^lo times the sum of that row against its own table of
+    z^0 .. z^(2^14-1), where lo is the chunk's first m.  A point stops once
+    :func:`_series_tail` from the first m not yet summed is below ``tol / 2``.
+    The rounding term, 1e-14 (1 + |value|), is an allowance and not a
+    certificate.
     """
     chunk = 1 << 14
     q = len(parts) - 1
@@ -266,13 +271,8 @@ def _li_series(parts: tuple[int, ...], zs: list[float], tol: float) -> list[Real
         for j in running:
             totals[j] += zs[j] ** lo * float(np.sum(tables[j] * row))
         lo += chunk
-        # b(lo) / (1 - rho) in logs, as in _half_point
-        log_lo = math.log(lo)
-        log_b = q * math.log1p(log_lo) - math.lgamma(q + 1) - parts[-1] * log_lo
         for j in running:
-            log_z = math.log(zs[j])
-            log_rho = log_z + q / (lo * (1.0 + log_lo))
-            tails[j] = math.exp(lo * log_z + log_b) / -math.expm1(log_rho) if log_rho < 0.0 else math.inf
+            tails[j] = _series_tail(parts, zs[j], lo)
         running = [j for j in running if not tails[j] < tol / 2.0]
         if running and lo - 1 > LI_TERM_CAP:
             raise CapExceededError(
@@ -296,23 +296,45 @@ def _power_table(z: float, size: int) -> np.ndarray:
     return table
 
 
-def eval_reg_polynomial(p, t: float, tol: float = DEFAULT_LI_TOL) -> Real:
-    """Evaluate an H0-coefficient polynomial at a real point, coefficients by mzv."""
-    weight_mass = 0.0
-    for i, c in enumerate(p.coeffs):
-        if not c.in_h0:
-            raise DomainError("polynomial coefficients must be supported in H0")
-        weight_mass += sum(abs(float(q)) for _, q in c.items()) * max(1.0, abs(t)) ** i
-    per_tol = max(MIN_TOL, tol / (2.0 * max(weight_mass, 1.0)))
-    value = 0.0
-    err = 0.0
+def eval_reg_polynomial(p, t: float, zetas: dict[Word, Real] | None = None) -> Real:
+    """An H0-coefficient polynomial at a real point: the one certified float sum of MZV combinations.
+
+    The value is one running sum of float(q) * zeta(w) * t ** i, by
+    coefficient and then term.  ``zetas`` memoizes each word's :func:`mzv`;
+    a word missing from it must lie in H0.  For n terms the bound is the
+    MZVs' own bounds, sum |float(q)| * zeta.error_bound * |t ** i|, plus
+    the rounding gamma_(n+1) * sum |term| of float(q), the products and the
+    additions, with one rounding more when the degree is at least 1 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, ch. 4), plus for
+    i >= 2 the exact error of t ** i times sum |q| (zeta + its bound),
+    rounded up, so that no accuracy of ``pow`` is assumed.  :func:`_gamma`'s
+    1% margin covers second-order terms such as the rounding of the bound's
+    own sums: every MZV up to weight 12 has a bound below 1e-13 of its value.
+    """
+    zetas = {} if zetas is None else zetas
+    value = err = total = 0.0
+    count = powers = 0  # powers: the exact, weighted errors of the t ** i, a Fraction once one is inexact
     for i, c in enumerate(p.coeffs):
         scale = t ** i
+        size = abs(scale)
         for w, q in c.items():
-            zeta = mzv(index_of_word(w), per_tol)
-            value += float(q) * zeta.value * scale
-            err += abs(float(q)) * zeta.error_bound * abs(scale)
-    err += 1e-15 * (1.0 + abs(value))
+            zeta = zetas.get(w)
+            if zeta is None:
+                if not w.in_h0:
+                    raise DomainError("polynomial coefficients must be supported in H0")
+                zeta = zetas[w] = mzv(index_of_word(w), DEFAULT_MZV_TOL)
+            coefficient = float(q)
+            term = coefficient * zeta.value * scale
+            value += term
+            total += abs(term)
+            err += abs(coefficient) * zeta.error_bound * size
+        count += len(c)
+        if i >= 2 and c:
+            mass = sum(abs(float(q)) * (zetas[w].value + zetas[w].error_bound) for w, q in c.items())
+            powers += abs(Fraction(t) ** i - Fraction(scale)) * Fraction(mass)
+    err += _gamma(count + (1 if len(p.coeffs) == 1 else 2)) * total
+    if powers:
+        err += math.nextafter(float(powers), math.inf)
     return Real(value, err)
 
 

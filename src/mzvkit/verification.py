@@ -36,7 +36,6 @@ from .algebra import (
     Word,
     admissible_indices_up_to,
     harmonic,
-    index_of_word,
     indices_of_weight,
     indices_up_to_weight,
     shuffle,
@@ -58,8 +57,9 @@ class CampaignConfig:
     the exact-sweep N cap, the exact-decomposition N and the noise floor in
     this module.  :meth:`to_dict` still records them.  The EDSR claims have
     no tolerance: a case passes iff its residual is at most the certified
-    error bound of its own float sum (:func:`_z_value`), with ``<=`` because
-    a defect that regularizes to the empty combination has both at 0.
+    error bound of its own float sum
+    (:func:`mzvkit.numeric.eval_reg_polynomial`), with ``<=`` because a
+    defect that regularizes to the empty combination has both at 0.
     """
 
     max_weight: int = 3
@@ -414,13 +414,14 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
     gamma = num.euler_gamma().value
     items = [(k, LinComb.of_index(k)) for k in indices_up_to_weight(cfg.max_weight, include_empty=True)]
     num.walk_words_f(_words(x for _, x in items), cfg.n_schedule, "plain")
+    zetas: dict[Word, num.Real] = {}
 
     def check(item: tuple[Index, LinComb]) -> Case:
         k, x = item
         poly = reg.z_star_polynomial(k)
         values = num.zn_apply_f(x, cfg.n_schedule, "plain")
         residuals = [
-            (n, value - num.eval_reg_polynomial(poly, math.log(n) + gamma).value)
+            (n, value - num.eval_reg_polynomial(poly, math.log(n) + gamma, zetas).value)
             for n, value in zip(cfg.n_schedule, values)
         ]
         return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree)
@@ -445,9 +446,10 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     """Polylogarithms follow the shuffle regularized polynomial at -log(1-z)."""
     # a schedule with fewer than five powers of two fails every case's rate fit
     exponents = [e for e in range(2, 31) if (1 << e) in cfg.n_schedule]
-    # a tenth of the noise floor, so that the truncation error of either side
-    # stays below the residuals the rate fit counts as 0
+    # a tenth of the noise floor, so that the series' truncation error stays
+    # below the residuals the rate fit counts as 0
     tol = NOISE_FLOOR / 10
+    zetas: dict[Word, num.Real] = {}
 
     def check(k: Index) -> Case:
         poly = reg.z_shuffle_polynomial(k)
@@ -459,39 +461,13 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
             return Case(key, inputs, False, {"error": str(exc), "polynomialDegree": poly.degree})
         residuals = []
         for e, z, value in zip(exponents, zs, observed):
-            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), tol)
+            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), zetas)
             residuals.append((1 << e, value.value - predicted.value))
         return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
     params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK, "liTol": tol}
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
     return [_report(cfg, "prop-asymp-Li", params, check, indices)]
-
-
-def _z_value(x: LinComb, zetas: dict[Word, num.Real]) -> tuple[float, float]:
-    """The MZV of an H0 combination as a float sum, and a certified bound on its error.
-
-    ``zetas`` memoizes each word's MZV.  For the n terms c * zeta of ``x``,
-    the bound is the MZVs' own bounds, sum |float(c)| * zeta.error_bound,
-    plus the rounding of float(c), of each product and of the n - 1
-    additions: gamma_(n+1) * sum |float(c) * zeta.value| (Higham, "Accuracy
-    and Stability of Numerical Algorithms", 2002, ch. 4).  ``num._gamma``'s
-    1% margin covers the second-order terms, such as the rounding of the
-    bound's own sums, since every MZV up to weight 12 has a bound below
-    1e-13 of its value.  The empty combination has value 0 and bound 0,
-    so a verdict that reads this bound must compare with ``<=``.
-    """
-    value = err = scale = 0.0
-    for w, c in x.items():
-        zeta = zetas.get(w)
-        if zeta is None:
-            zeta = zetas[w] = num.mzv(index_of_word(w), num.DEFAULT_MZV_TOL)
-        coefficient = float(c)
-        term = coefficient * zeta.value
-        value += term
-        scale += abs(term)
-        err += abs(coefficient) * zeta.error_bound
-    return value, err + num._gamma(len(x) + 1) * scale
 
 
 # each claim's regularization, named in ``reg`` so that a rebound one is called
@@ -502,7 +478,8 @@ def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) 
     """Both regularizations annihilate the product defect numerically.
 
     The MZV of each regularized defect is exactly 0, so a case passes iff
-    ``|value| <= errorBound``, the certified bound of :func:`_z_value`.
+    ``|value| <= errorBound``, the certified bound of
+    :func:`mzvkit.numeric.eval_reg_polynomial` on the defect as a constant.
     ``claims`` picks the sides to check, so that one claim computes only its
     own.  Each pair's defect is built once, before the first claim.
     """
@@ -514,13 +491,13 @@ def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) 
     def check(item: tuple[Callable[[LinComb], LinComb], Index, Index, LinComb]) -> Case:
         regularize, k, l, diff = item
         regularized = regularize(diff)
-        value, err = _z_value(regularized, zetas)
-        residual = abs(value)
+        z = num.eval_reg_polynomial(reg.RegPolynomial.constant(regularized), 0.0, zetas)
+        residual = abs(z.value)
         return Case(
             key=f"w1=({k});w0=({l})",
             inputs={"w1": str(k), "w0": str(l)},
-            passed=residual <= err,
-            detail={"residual": residual, "errorBound": err, "terms": len(regularized)},
+            passed=residual <= z.error_bound,
+            detail={"residual": residual, "errorBound": z.error_bound, "terms": len(regularized)},
         )
 
     zetas: dict[Word, num.Real] = {}

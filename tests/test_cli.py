@@ -121,6 +121,11 @@ class TestCommands:
         assert main(["mzv", "2,1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_uncertified_deep_index_is_an_error_not_a_traceback(self, capsys):
+        # at depth 601 no tier of the half-point series certifies its tail
+        assert main(["mzv", ",".join(["1"] * 600 + ["2"])]) == 2
+        assert capsys.readouterr().err.startswith("error: could not reach tolerance 1e-07 for index (1,1,")
+
     def test_usage_error_exit_code(self):
         assert main(["sum", "--kind", "bogus", "2", "--n", "5"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from mzvkit.finite_sums import (
     zeta_natural,
 )
 from mzvkit.numeric import (
+    DEFAULT_MZV_TOL,
     EULER_GAMMA,
     MIN_TOL,
     Real,
@@ -47,7 +49,7 @@ from mzvkit.numeric import (
     zeta_natural_f,
     zn_apply_f,
 )
-from mzvkit.regularization import RegPolynomial, z_star_polynomial
+from mzvkit.regularization import RegPolynomial, z_shuffle_polynomial, z_star_polynomial
 
 from _oracles import chain_value_f_oracle
 
@@ -101,6 +103,15 @@ class TestMzv:
         for tol in (1e-13, float("nan")):
             with pytest.raises(DomainError):
                 mzv(idx(2), tol)
+
+    def test_deep_index_escalates_past_an_uncertified_tier(self):
+        # at depth 241 the 64-term half-point series of the whole word has no
+        # certified tail, and its value 0.0 must not turn the bound into nan
+        assert num._limit_with_error((1,) * 240 + (2,), 0)[1] == math.inf
+        v = mzv(idx(*(1,) * 240, 2))
+        assert v.error_bound <= DEFAULT_MZV_TOL
+        # by duality zeta(1^240, 2) = zeta(242), within 2^-241 of 1
+        assert abs(v.value - 1.0) <= v.error_bound
 
 
 class TestHalfPointConvolution:
@@ -296,6 +307,40 @@ class TestEvalRegPolynomial:
         p = RegPolynomial.constant(LinComb.of_index(idx(1)))
         with pytest.raises(DomainError):
             eval_reg_polynomial(p, 1.0)
+
+    def test_bound_is_a_certificate_on_the_campaign_grids(self):
+        # prop-asymp-H's star polynomials at log N + gamma and prop-asymp-Li's
+        # shuffle polynomials at -log(1 - z), N = 2^e and z = 1 - 2^-e for
+        # e = 4..14: the float sum and the MZVs' own bounds lie within the
+        # bound of the exact sum of the same MZV floats
+        grids = (
+            (z_star_polynomial, [math.log(1 << e) + euler_gamma().value for e in range(4, 15)]),
+            (z_shuffle_polynomial, [-math.log1p(-(1.0 - 0.5 ** e)) for e in range(4, 15)]),
+        )
+        zetas = {}
+        count = 0
+        for k in indices_up_to_weight(6, include_empty=True):
+            for polynomial, ts in grids:
+                p = polynomial(k)
+                for t in ts:
+                    got = eval_reg_polynomial(p, t, zetas)
+                    exact = mzv_part = Fraction(0)
+                    for i, c in enumerate(p.coeffs):
+                        power = Fraction(t) ** i
+                        for w, q in c.items():
+                            exact += q * Fraction(zetas[w].value) * power
+                            mzv_part += abs(q) * Fraction(zetas[w].error_bound) * abs(power)
+                    assert abs(Fraction(got.value) - exact) + mzv_part <= Fraction(got.error_bound), (k, t)
+                    count += 1
+        assert count == 1408
+
+    def test_memo_is_read_and_filled(self):
+        zetas = {}
+        p = z_star_polynomial(idx(1, 2))
+        first = eval_reg_polynomial(p, 2.5, zetas)
+        assert set(zetas) == {w for c in p.coeffs for w in c.support()}
+        zetas = {w: Real(2 * z.value, z.error_bound) for w, z in zetas.items()}
+        assert eval_reg_polynomial(p, 2.5, zetas).value == 2 * first.value
 
 
 class TestRateFit:

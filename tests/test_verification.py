@@ -166,12 +166,22 @@ class TestCampaignsPass:
         assert star.passed and sh.passed
         assert len(calls) == len(star.cases) == len(sh.cases)  # one harmonic product per pair, for both claims
 
-    def test_edsr_one_side_and_one_mzv_per_word(self, monkeypatch):
+    # every campaign that evaluates MZV combinations keeps one memo for its run
+    @pytest.mark.parametrize(
+        "campaign, claims",
+        [
+            (lambda cfg: verify_edsr(cfg, ("thm-edsr-sh",)), ["thm-edsr-sh"]),
+            (verify_asymp_h, ["prop-asymp-H"]),
+            (verify_asymp_li, ["prop-asymp-Li"]),
+        ],
+        ids=["edsr-sh", "asymp-h", "asymp-li"],
+    )
+    def test_edsr_one_side_and_one_mzv_per_word(self, monkeypatch, campaign, claims):
         calls = []
         mzv = num.mzv
         monkeypatch.setattr(num, "mzv", lambda k, tol: calls.append(k) or mzv(k, tol))
-        (sh,) = verify_edsr(FAST, ("thm-edsr-sh",))
-        assert sh.claim_id == "thm-edsr-sh" and sh.passed
+        reports = campaign(FAST)
+        assert [r.claim_id for r in reports] == claims and all(r.passed for r in reports)
         assert calls and len(calls) == len(set(calls))  # each word's MZV taken once
 
     def test_minimal_weight_one_config(self):
