@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -37,8 +38,17 @@ SUM_COST_CAP = 6 * 10_000 ** 2
 # harmonic products of its words with e1 and memoizes every word it reaches,
 # so its cost follows the weight: about 3x per unit.  (1^13) takes about 1 s
 # and 85 MB, (1^14) and (2,1^12) about 3.5 s and 185 MB, and (1^16) 16 s and
-# 1.3 GB.  An admissible index, and the shuffle side, cost about 0 ms.
+# 1.3 GB.  An admissible index costs about 0 ms.
 STAR_WEIGHT_CAP = 14
+
+# The shuffle decomposition of the word v.e0.e1^n memoizes v' sh e1^j for
+# every prefix v' of v and every j <= n, and the rows of v.e0.e1^m for every
+# m <= n.  Its time and memory follow (|v| + 1) * C(z + n + 2, n), z being the
+# number of e0 in v: about 0.3-0.9 us and 30-47 bytes per unit above 10^6.
+# The cap admits (3^7,1^7) (3.6 * 10^6: 1.6 s, 183 MB) and refuses
+# (2^10,1^10) (7.1 * 10^6: 3.9 s, 286 MB) and (2^4,1^80), which needs more
+# than 1.5 GB.  An admissible index costs its weight.
+SHUFFLE_COST_CAP = 4 * 10 ** 6
 
 
 def parse_operand(text: str) -> LinComb:
@@ -158,11 +168,24 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shuffle_cost(k: Index) -> int:
+    """(|v| + 1) * C(z + n + 2, n) for the word v.e0.e1^n of k, z being the number of e0 in v; 0 for (1^n)."""
+    head = list(k.parts)
+    while head and head[-1] == 1:
+        head.pop()
+    n, weight = len(k.parts) - len(head), sum(head)
+    return weight * math.comb(weight - len(head) + n + 1, n)
+
+
 def _cmd_regularize(args: argparse.Namespace) -> int:
     k = Index.parse(args.index)
     if args.op == "star" and not k.admissible and k.weight > STAR_WEIGHT_CAP:
         raise CapExceededError(
             f"star regularization refused: index ({k}) ends in 1 and has weight {k.weight} (cap {STAR_WEIGHT_CAP})"
+        )
+    if args.op == "sh" and (cost := _shuffle_cost(k)) > SHUFFLE_COST_CAP:
+        raise CapExceededError(
+            f"shuffle regularization refused: index ({k}) costs {cost} (cap {SHUFFLE_COST_CAP})"
         )
     poly = reg.z_star_polynomial(k) if args.op == "star" else reg.z_shuffle_polynomial(k)
     print(json.dumps(poly.serialize()))

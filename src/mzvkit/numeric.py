@@ -3,7 +3,9 @@
 Exact rational evaluation lives in :mod:`mzvkit.finite_sums`; this module
 holds everything floating: MZV limits from the 1/2-Hoelder convolution (each
 MZV a finite sum of products of two nested polylogarithms at 1/2, in float64
-with a certified error bound, no extended precision), the nested
+with a certified error bound, no extended precision; the series of every
+prefix of a word come from one pass over the word, and those of its dual
+suffixes from one pass over its dual), the nested
 polylogarithm power series (stopped on a certified tail bound; its rounding
 term is an allowance, not a certificate), the float64 arithmetic of the
 chain DP for large N (where exact rationals are hopeless), and the log-rate
@@ -87,27 +89,31 @@ class Real:
 
 
 @functools.lru_cache(maxsize=None)
-def _half_point(w: Word, terms: int) -> tuple[float, float]:
-    """L(w) and a certified bound: the iterated integral of w, read backwards, over 1/2 > t > 0.
+def _half_points(parts: tuple[int, ...], terms: int) -> tuple[tuple[float, float], ...]:
+    """L(v) and a certified bound for every prefix v of the word of ``parts``, shortest first.
 
-    For the index k of ``w`` this is the nested polylogarithm at 1/2,
+    L(v) is the iterated integral of v, read backwards, over 1/2 > t > 0: for
+    the index k of v, the nested polylogarithm at 1/2,
 
-        L(w) = sum over 0 < m_1 < ... < m_r of 2^-m_r / prod m_i^k_i,
+        L(v) = sum over 0 < m_1 < ... < m_r of 2^-m_r / prod m_i^k_i,
 
-    summed in float64 prefix sums over m_r <= ``terms``.  Every summand is
+    summed in float64 prefix sums over m_r <= ``terms``; L of the empty word
+    is 1.  One walk over the parts serves every prefix: the prefixes that end
+    in e1 e0^(p-1) inside part j, of index (k_1, ..., k_(j-1), p), all read
+    the row of the sums over the j - 1 variables below m.  Every summand is
     non-negative, so the rounding bound is relative to the value.
     """
-    if w.is_empty:
-        return 1.0, 0.0
-    parts = index_of_word(w).parts
     m = np.arange(1, terms + 1)
     inner = np.ones(terms)  # inner[m - 1]: the sum over the variables below m
-    for k in parts[:-1]:
+    points = [(1.0, 0.0)]
+    for depth, k in enumerate(parts, 1):
+        for p in range(1, k + 1):
+            value = float(np.sum(np.ldexp(inner * _inverse_powers(p, terms), -m)))
+            # per level: one rounded power, one product and fewer than ``terms`` additions
+            rounding = _gamma(depth * (terms + 2)) * value
+            points.append((value, rounding + _series_tail(parts[: depth - 1] + (p,), 0.5, terms + 1)))
         inner = np.concatenate(([0.0], np.cumsum(inner * _inverse_powers(k, terms))[:-1]))
-    value = float(np.sum(np.ldexp(inner * _inverse_powers(parts[-1], terms), -m)))
-    # per level: one rounded power, one product and fewer than ``terms`` additions
-    rounding = _gamma(len(parts) * (terms + 2)) * value
-    return value, rounding + _series_tail(parts, 0.5, terms + 1)
+    return tuple(points)
 
 
 def _series_tail(parts: tuple[int, ...], z: float, lo: int) -> float:
@@ -164,29 +170,32 @@ def _limit_with_error(parts: tuple[int, ...], tier: int) -> tuple[float, float]:
 
         zeta(w) = sum over i = 0..n of L(w_1 ... w_i) * L(dual(w_(i+1) ... w_n)),
 
-    two half-point series per term, both converging like 2^-m.  ``tier``
-    picks HALF_POINT_TERMS << tier terms per series.
+    two half-point series per term, both converging like 2^-m.  Term i reads
+    the head from the pass of :func:`_half_points` over w at prefix i and the
+    tail from the pass over dual(w) at prefix n - i, since dual(w_(i+1) ... w_n)
+    is a prefix of dual(w).  ``tier`` picks HALF_POINT_TERMS << tier terms
+    per series.
     """
     terms = HALF_POINT_TERMS << tier
+    # the dual word: reversed, with e0 and e1 swapped; its prefixes are the duals of w's suffixes
     letters = word_of_index(Index(parts)).letters()
+    dual = index_of_word(Word.from_letters(1 - x for x in reversed(letters))).parts
+    heads, tails = _half_points(parts, terms), _half_points(dual, terms)
     value = bound = 0.0
-    for i in range(len(letters) + 1):
-        head, head_err = _half_point(Word.from_letters(letters[:i]), terms)
-        # the dual word: reversed, with e0 and e1 swapped
-        tail, tail_err = _half_point(Word.from_letters(1 - x for x in reversed(letters[i:])), terms)
+    for (head, head_err), (tail, tail_err) in zip(heads, reversed(tails)):
         if math.isinf(head_err + tail_err):
             return math.nan, math.inf  # a series with no certified tail at this tier
         value += head * tail
         bound += head_err * tail + (head + head_err) * tail_err
-    # one rounded product per term and the sum of len(letters) + 1 non-negative terms
-    return value, bound + _gamma(len(letters) + 1) * value
+    # one rounded product per term and the sum of n + 1 non-negative terms
+    return value, bound + _gamma(len(heads)) * value
 
 
 def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
     """Multiple zeta value of an admissible index, with a certified |error| <= tol.
 
-    An index whose bound reaches ``tol`` at neither tier raises
-    :class:`~mzvkit.errors.CapExceededError`.
+    An index whose bound is finite and at most ``tol`` at neither tier raises
+    :class:`~mzvkit.errors.CapExceededError`, also when ``tol`` is infinite.
     """
     k = as_index(k)
     if not k.admissible:
@@ -195,12 +204,11 @@ def mzv(k: Index | Iterable[int], tol: float = DEFAULT_MZV_TOL) -> Real:
         raise DomainError(f"tolerance {tol} must be at least the supported precision {MIN_TOL}")
     if not k.parts:
         return Real(1.0, 0.0)
-    value, err = _limit_with_error(k.parts, 0)
-    if not err <= tol:
-        value, err = _limit_with_error(k.parts, 1)
-    if not err <= tol:
-        raise CapExceededError(f"could not reach tolerance {tol} for index ({k}); bound {err:.3e}")
-    return Real(value, err)
+    for tier in (0, 1):
+        value, err = _limit_with_error(k.parts, tier)
+        if err <= tol and math.isfinite(err):
+            return Real(value, err)
+    raise CapExceededError(f"could not reach tolerance {tol} for index ({k}); bound {err:.3e}")
 
 
 def euler_gamma() -> Real:

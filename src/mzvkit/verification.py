@@ -46,18 +46,21 @@ DEFAULT_SCHEDULE = tuple(2 ** e for e in range(4, 15))  # 16 .. 16384
 MSW_N_CAP = 60  # thm-msw's exact sweep keeps the schedule entries up to this N
 SHUFFLE_EXACT_N = 10  # least N of prop-asymp-shuffle's exact decomposition
 NOISE_FLOOR = 1e-10  # rate fits count residuals below this as 0
+# prop-asymp-Li's polylogarithm tolerance, a tenth of the noise floor, so that
+# the series' truncation error stays below the residuals the rate fit counts as 0
+LI_TOL = NOISE_FLOOR / 10
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """Knobs shared by all campaigns; defaults match the acceptance runs.
 
-    Settings that no run varies are constants instead: the MZV and
-    polylogarithm tolerances and the rate-fit slack in :mod:`mzvkit.numeric`,
-    the exact-sweep N cap, the exact-decomposition N and the noise floor in
-    this module.  :meth:`to_dict` still records them.  The EDSR claims have
-    no tolerance: a case passes iff its residual is at most the certified
-    error bound of its own float sum
+    Settings that no run varies are constants instead: the MZV tolerance
+    and the rate-fit slack in :mod:`mzvkit.numeric`, the exact-sweep N cap,
+    the exact-decomposition N, the noise floor and prop-asymp-Li's
+    polylogarithm tolerance in this module.  :meth:`to_dict` still records
+    them.  The EDSR claims have no tolerance: a case passes iff its residual
+    is at most the certified error bound of its own float sum
     (:func:`mzvkit.numeric.eval_reg_polynomial`), with ``<=`` because a
     defect that regularizes to the empty combination has both at 0.
     """
@@ -97,7 +100,7 @@ class CampaignConfig:
             "harmonicN": self.harmonic_n,
             "shuffleExactN": SHUFFLE_EXACT_N,
             "mzvTol": num.DEFAULT_MZV_TOL,
-            "liTol": num.DEFAULT_LI_TOL,
+            "liTol": LI_TOL,
             "rateSlack": num.RATE_SLACK,
             "noiseFloor": NOISE_FLOOR,
             "seed": self.seed,
@@ -446,9 +449,6 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     """Polylogarithms follow the shuffle regularized polynomial at -log(1-z)."""
     # a schedule with fewer than five powers of two fails every case's rate fit
     exponents = [e for e in range(2, 31) if (1 << e) in cfg.n_schedule]
-    # a tenth of the noise floor, so that the series' truncation error stays
-    # below the residuals the rate fit counts as 0
-    tol = NOISE_FLOOR / 10
     zetas: dict[Word, num.Real] = {}
 
     def check(k: Index) -> Case:
@@ -456,7 +456,7 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
         zs = [1.0 - 0.5 ** e for e in exponents]
         key, inputs = f"k=({k})", {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
         try:
-            observed = num.li_value(k, zs, tol)
+            observed = num.li_value(k, zs, LI_TOL)
         except CapExceededError as exc:
             return Case(key, inputs, False, {"error": str(exc), "polynomialDegree": poly.degree})
         residuals = []
@@ -465,7 +465,7 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
             residuals.append((1 << e, value.value - predicted.value))
         return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
 
-    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK, "liTol": tol}
+    params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK, "liTol": LI_TOL}
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
     return [_report(cfg, "prop-asymp-Li", params, check, indices)]
 

@@ -5,6 +5,9 @@ shuffle oracle enumerates letter placements, the quasi-shuffle oracle walks
 the merge grid from the left, and both count multiplicities directly.  The
 float chain oracle is the one-chain-at-a-time DP that the package's shared
 prefix walk replaced; the walk must reproduce its floats bit for bit.  The
+half-point oracles sum each prefix's series, and the 1/2-Hoelder convolution,
+one word at a time, as the package did before one pass per word served every
+prefix; the pass must reproduce their floats bit for bit.  The
 decomposition oracles are the recursive elimination that the package's
 closed forms replaced; the closed forms must reproduce them exactly.
 """
@@ -18,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from mzvkit.algebra import Index, LinComb, Word, harmonic, shuffle, word_of_index
+from mzvkit import numeric as num
+from mzvkit.algebra import Index, LinComb, Word, harmonic, index_of_word, shuffle, word_of_index
 from mzvkit.finite_sums import ConstraintChain
 from mzvkit.regularization import RegPolynomial
 
@@ -83,6 +87,35 @@ def chain_value_f_oracle(chain: ConstraintChain, N: int) -> float:
         values = w * prefix
     assert values is not None
     return float(values.sum())
+
+
+@functools.lru_cache(maxsize=None)
+def half_point_oracle(w: Word, terms: int) -> tuple[float, float]:
+    """L(w) and its certified bound, walking every level of w on its own."""
+    if w.is_empty:
+        return 1.0, 0.0
+    parts = index_of_word(w).parts
+    m = np.arange(1, terms + 1)
+    inner = np.ones(terms)
+    for k in parts[:-1]:
+        inner = np.concatenate(([0.0], np.cumsum(inner * num._inverse_powers(k, terms))[:-1]))
+    value = float(np.sum(np.ldexp(inner * num._inverse_powers(parts[-1], terms), -m)))
+    rounding = num._gamma(len(parts) * (terms + 2)) * value
+    return value, rounding + num._series_tail(parts, 0.5, terms + 1)
+
+
+def limit_with_error_oracle(parts: tuple[int, ...], terms: int) -> tuple[float, float]:
+    """zeta(parts) and its bound, building the word of every head and every dual tail."""
+    letters = word_of_index(Index(parts)).letters()
+    value = bound = 0.0
+    for i in range(len(letters) + 1):
+        head, head_err = half_point_oracle(Word.from_letters(letters[:i]), terms)
+        tail, tail_err = half_point_oracle(Word.from_letters(1 - x for x in reversed(letters[i:])), terms)
+        if math.isinf(head_err + tail_err):
+            return math.nan, math.inf
+        value += head * tail
+        bound += head_err * tail + (head + head_err) * tail_err
+    return value, bound + num._gamma(len(letters) + 1) * value
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import pytest
 from mzvkit import finite_sums as fs
 from mzvkit import numeric as num
 from mzvkit import regularization as reg
-from mzvkit.cli import _parse_schedule, main, parse_operand
+from mzvkit.cli import SHUFFLE_COST_CAP, _parse_schedule, _shuffle_cost, main, parse_operand
 from mzvkit.algebra import Index, LinComb, Word
 from mzvkit.errors import DomainError
 from mzvkit.finite_sums import zeta_lt
@@ -112,6 +112,35 @@ class TestCommands:
         assert main(["regularize", "--op", op, index]) == 0
         assert json.loads(capsys.readouterr().out)
 
+    def test_deep_shuffle_regularization_is_refused(self, capsys, monkeypatch):
+        # (2^10,1^10) costs 7.1 * 10^6 units: about 4 s and 290 MB
+        monkeypatch.setattr(reg, "z_shuffle_polynomial", lambda k: pytest.fail("decomposed before the cap check"))
+        assert main(["regularize", "--op", "sh", ",".join(["2"] * 10 + ["1"] * 10)]) == 2
+        assert capsys.readouterr().err.startswith("error: shuffle regularization refused: index (2,2,")
+
+    def test_shuffle_regularization_under_the_cap_prints(self, capsys):
+        # (2^8,1^8) costs 3.9 * 10^5 units: about 0.2 s
+        assert main(["regularize", "--op", "sh", ",".join(["2"] * 8 + ["1"] * 8)]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "parts, cost",
+        [
+            ((), 0),
+            ((1,) * 20, 0),
+            ((2,), 2),
+            ((2, 1), 6),
+            ((3,) * 7 + (1,) * 7, 3581424),
+            ((2,) * 7 + (1,) * 14, 4476780),
+        ],
+    )
+    def test_shuffle_cost(self, parts, cost):
+        assert _shuffle_cost(Index(parts)) == cost
+
+    def test_shuffle_cost_cap_admits_3_7_1_7_and_refuses_2_7_1_14(self):
+        admitted, refused = Index((3,) * 7 + (1,) * 7), Index((2,) * 7 + (1,) * 14)
+        assert _shuffle_cost(admitted) <= SHUFFLE_COST_CAP < _shuffle_cost(refused)
+
     def test_mzv(self, capsys):
         assert main(["mzv", "2", "--tol", "1e-9"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -125,6 +154,10 @@ class TestCommands:
         # at depth 601 no tier of the half-point series certifies its tail
         assert main(["mzv", ",".join(["1"] * 600 + ["2"])]) == 2
         assert capsys.readouterr().err.startswith("error: could not reach tolerance 1e-07 for index (1,1,")
+
+    def test_uncertified_deep_index_is_an_error_at_infinite_tolerance(self, capsys):
+        assert main(["mzv", ",".join(["1"] * 600 + ["2"]), "--tol", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: could not reach tolerance inf for index (1,1,")
 
     def test_usage_error_exit_code(self):
         assert main(["sum", "--kind", "bogus", "2", "--n", "5"]) == 2

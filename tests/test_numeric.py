@@ -13,6 +13,7 @@ from mzvkit import numeric as num
 from mzvkit.algebra import (
     Index,
     LinComb,
+    Word,
     admissible_indices_up_to,
     harmonic,
     index_of_word,
@@ -51,7 +52,7 @@ from mzvkit.numeric import (
 )
 from mzvkit.regularization import RegPolynomial, z_shuffle_polynomial, z_star_polynomial
 
-from _oracles import chain_value_f_oracle
+from _oracles import chain_value_f_oracle, half_point_oracle, limit_with_error_oracle
 
 
 def idx(*parts):
@@ -114,6 +115,14 @@ class TestMzv:
         assert abs(v.value - 1.0) <= v.error_bound
 
 
+    def test_uncertified_index_is_refused_at_infinite_tolerance(self):
+        # an infinite bound never meets tol, not even tol = inf, and tol = inf
+        # still escalates past a tier whose bound is infinite
+        with pytest.raises(CapExceededError):
+            mzv(idx(*(1,) * 600, 2), math.inf)
+        assert mzv(idx(*(1,) * 240, 2), math.inf) == mzv(idx(*(1,) * 240, 2))
+
+
 class TestHalfPointConvolution:
     """The 1/2-Hoelder engine against an independent reference and closed forms."""
 
@@ -140,13 +149,31 @@ class TestHalfPointConvolution:
             assert abs(mpmath.mpf(v.value) - exact()) <= v.error_bound
 
     def test_bound_is_a_certificate(self):
-        # a truncated series must lie within its stated bound of the 64-term one
-        words = [word_of_index(k) for k in indices_up_to_weight(8)]
-        for w in words:
-            full, full_err = num._half_point(w, 64)
+        # a truncated series must lie within its stated bound of the 64-term
+        # one, at every prefix of every word up to weight 8
+        for k in indices_up_to_weight(8):
+            full = num._half_points(k.parts, 64)
             for terms in (8, 16, 32):
-                value, err = num._half_point(w, terms)
-                assert abs(value - full) <= err + full_err, (w, terms)
+                truncated = num._half_points(k.parts, terms)
+                assert len(truncated) == len(full) == k.weight + 1
+                for i, ((value, err), (exact, exact_err)) in enumerate(zip(truncated, full)):
+                    assert abs(value - exact) <= err + exact_err, (k, i, terms)
+
+    @pytest.mark.parametrize("terms", [64, 128])
+    def test_pass_matches_the_per_prefix_series(self, terms):
+        # every prefix of every admissible word and of its dual, bit for bit
+        for k in admissible_indices_up_to(10):
+            letters = word_of_index(k).letters()
+            for word in (letters, tuple(1 - x for x in reversed(letters))):
+                expected = tuple(half_point_oracle(Word.from_letters(word[:i]), terms) for i in range(len(word) + 1))
+                assert num._half_points(index_of_word(Word.from_letters(word)).parts, terms) == expected, (k, word)
+
+    def test_convolution_matches_the_per_prefix_reference(self):
+        for k in admissible_indices_up_to(10):
+            if k.parts:
+                for tier in (0, 1):
+                    expected = limit_with_error_oracle(k.parts, num.HALF_POINT_TERMS << tier)
+                    assert num._limit_with_error(k.parts, tier) == expected, (k, tier)
 
     def test_bound_reaches_min_tol_at_tier_zero(self):
         for k in self.indices:

@@ -9,7 +9,7 @@ import pytest
 
 import mzvkit.numeric as num
 import mzvkit.verification as ver
-from mzvkit.algebra import Index, LinComb, harmonic, index_of_word, word_of_index
+from mzvkit.algebra import Index, LinComb, harmonic, index_of_word
 from mzvkit.cli import _parse_schedule
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import ConstraintChain
@@ -300,12 +300,13 @@ class TestSoundness:
         assert len(report.cases) == 10 and not any(c.passed for c in report.cases)
 
     def test_dropped_convolution_term_fails_edsr(self, monkeypatch):
-        # drop the j = 0 term L(w) * L(empty): the whole word integrated below 1/2
+        # drop the j = 0 term L(w) * L(empty): the whole word integrated below
+        # 1/2, the last entry of the word's pass
         original = num._limit_with_error
 
         def dropped(parts, tier):
             value, err = original(parts, tier)
-            whole, _ = num._half_point(word_of_index(Index(parts)), num.HALF_POINT_TERMS << tier)
+            whole, _ = num._half_points(parts, num.HALF_POINT_TERMS << tier)[-1]
             return value - whole, err
 
         monkeypatch.setattr(num, "_limit_with_error", dropped)
@@ -527,6 +528,12 @@ class TestReports:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["verdict"] == "pass"
         assert "thm-regularization-rho" in summary["outOfScope"]
+
+    def test_summary_li_tol_is_the_one_prop_asymp_li_runs_at(self, tmp_path):
+        run_all(replace(FAST, out_dir=str(tmp_path)))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        li_report = json.loads((tmp_path / "prop-asymp-Li.json").read_text())
+        assert summary["config"]["liTol"] == li_report["parameters"]["liTol"] == ver.LI_TOL
 
     def test_csv_format_run(self, tmp_path):
         cfg = CampaignConfig(
