@@ -35,18 +35,18 @@ from .verification import CampaignConfig, run_all
 SUM_COST_CAP = 6 * 10_000 ** 2
 
 # The star decomposition of an index that ends in 1 recurses through the
-# harmonic products of its words with e1 and memoizes every word it reaches,
-# so its cost follows the weight: about 3x per unit.  (1^13) takes about 1 s
-# and 85 MB, (1^14) and (2,1^12) about 3.5 s and 185 MB, and (1^16) 16 s and
-# 1.3 GB.  An admissible index costs about 0 ms.
+# harmonic products of its words with e1 and memoizes reg of every word it
+# reaches, so its cost follows the weight: about 3x per unit.  (1^13) takes
+# about 0.7 s and 68 MB, (1^14) and (2,1^12) about 2 s and 140 MB, and (1^16)
+# 22 s and 865 MB.  An admissible index costs about 0 ms.
 STAR_WEIGHT_CAP = 14
 
 # The shuffle decomposition of the word v.e0.e1^n memoizes v' sh e1^j for
-# every prefix v' of v and every j <= n, and the rows of v.e0.e1^m for every
+# every prefix v' of v and every j <= n, and reg of v.e0.e1^m for every
 # m <= n.  Its time and memory follow (|v| + 1) * C(z + n + 2, n), z being the
-# number of e0 in v: about 0.3-0.9 us and 30-47 bytes per unit above 10^6.
-# The cap admits (3^7,1^7) (3.6 * 10^6: 1.6 s, 183 MB) and refuses
-# (2^10,1^10) (7.1 * 10^6: 3.9 s, 286 MB) and (2^4,1^80), which needs more
+# number of e0 in v: about 0.4-0.5 us and 34-42 bytes per unit above 10^6.
+# The cap admits (3^7,1^7) (3.6 * 10^6: 1.4 s, 179 MB) and refuses
+# (2^10,1^10) (7.1 * 10^6: 2.5 s, 270 MB) and (2^4,1^80), which needs more
 # than 1.5 GB.  An admissible index costs its weight.
 SHUFFLE_COST_CAP = 4 * 10 ** 6
 

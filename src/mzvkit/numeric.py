@@ -130,14 +130,30 @@ def _series_tail(parts: tuple[int, ...], z: float, lo: int) -> float:
                         <= z exp(q / (m (1 + log m))) <= rho = z exp(q / (lo (1 + log lo))),
 
     so the terms from lo on sum to at most b(lo) / (1 - rho) when rho < 1;
-    otherwise the bound is infinite.  b(lo) is formed in logs.
+    otherwise the bound is infinite.
+
+    In float64 (u = 2^-53, libm within an ulp), rho is rounded up by 8 + 8x
+    ulps, x being its exponent: x carries a relative error of 5u, so rho
+    loses at most 5x + 3 ulps.  The bound is exp(log b(lo) - log1p(-rho)).
+    Each of its five logs is within 9u of its own magnitude and their sum
+    adds at most 4u of the sum S of the magnitudes, so the exponent is
+    raised by 2^-48 S = 32u S; one float step up then covers exp's own
+    rounding and turns an underflow into the least positive float.
     """
     q = len(parts) - 1
-    rho = z * math.exp(q / (lo * (1.0 + math.log(lo))))
+    x = q / (lo * (1.0 + math.log(lo)))
+    rho = z * math.exp(x)
+    rho += (8.0 + 8.0 * x) * math.ulp(rho)
     if rho >= 1.0:
         return math.inf
-    log_b = lo * math.log(z) - parts[-1] * math.log(lo) + q * math.log(1.0 + math.log(lo)) - math.lgamma(q + 1)
-    return math.exp(log_b) / (1.0 - rho)
+    logs = (
+        lo * math.log(z),
+        -parts[-1] * math.log(lo),
+        q * math.log(1.0 + math.log(lo)),
+        -math.lgamma(q + 1),
+        -math.log1p(-rho),
+    )
+    return math.nextafter(math.exp(sum(logs) + 2.0 ** -48 * sum(map(abs, logs))), math.inf)
 
 
 @functools.lru_cache(maxsize=None)

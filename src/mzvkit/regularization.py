@@ -22,12 +22,13 @@ reg of one word has a closed form on each side:
   n reg_*(u.e1^n) = -reg_*((u.e1^(n-1)) * e1 - n u.e1^n) is a triangular
   recursion.
 
-By induction on n, n! times every T^j coefficient of u.e1^n is an integer
-combination on both sides.  So each word's decomposition is cached as
-integer numerators over n!, and a combination's is summed in integers over
-one common denominator, with one ``Fraction`` per resulting term.  The star
-side reads only ``_harmonic_parts`` and the shuffle side only
-``_shuffle_words``: neither regularization is derived from the other.
+By induction on n, n! reg(u.e1^n) is an integer combination on both sides.
+So only reg of each word is cached, as integer numerators over n!.  The T^j
+coefficient of a combination is read from reg of its words less j trailing
+e1 and summed in integers over one common denominator, with one
+``Fraction`` per resulting term.  The star side reads only
+``_harmonic_parts`` and the shuffle side only ``_shuffle_words``: neither
+regularization is derived from the other.
 """
 from __future__ import annotations
 
@@ -134,78 +135,59 @@ def _require_h1(x: LinComb, op: str) -> None:
         raise DomainError(f"{op} requires support in H1")
 
 
-@functools.lru_cache(maxsize=None)
-def _e1_harmonic_power(t: int) -> LinComb:
-    if t == 0:
-        return LinComb.unit()
-    return harmonic(_e1_harmonic_power(t - 1), _E1)
-
-
-@functools.lru_cache(maxsize=None)
-def _e1_shuffle_power(t: int) -> LinComb:
-    if t == 0:
-        return LinComb.unit()
-    return shuffle(_e1_shuffle_power(t - 1), _E1)
-
-
-# one coefficient of T as (word, integer numerator) pairs, and a word's
-# decomposition as (common denominator, one row per power of T)
+# reg of one word as (word, integer numerator) pairs, over the denominator cached beside them
 Row = tuple[tuple[Word, int], ...]
-WordRows = tuple[int, tuple[Row, ...]]
-
-
-def _word_rows(w: Word, n: int, row0: Row, word: Callable[[Word], WordRows]) -> tuple[Row, ...]:
-    # the T^j row over n! is C(n, j) times the T^0 row, over (n-j)!, of w less j trailing e1
-    return (row0,) + tuple(
-        tuple((y, math.comb(n, j) * k) for y, k in word(w.drop_last(j))[1][0]) for j in range(1, n + 1)
-    )
 
 
 @functools.lru_cache(maxsize=None)
-def _star_word(w: Word) -> WordRows:
-    """(n!, rows): row j holds the numerators over n! of the T^j coefficient
-    of w's harmonic decomposition, n being w's trailing-e1 count."""
+def _star_word(w: Word) -> tuple[int, Row]:
+    """(n!, numerators over n! of reg_*(w)), n being w's trailing-e1 count."""
     n = w.trailing_e1_count()
     if n == 0:
-        return 1, (((w, 1),),)
+        return 1, ((w, 1),)
     below = math.factorial(n - 1)
     acc: dict[Word, int] = {}
     for v, mult in _harmonic_parts(w.drop_last(), Word(1, 1)):
         if v == w:  # multiplicity n, the left-hand side of the recursion
             continue
-        den, rows = _star_word(v)
+        den, row = _star_word(v)
         scale = -mult * (below // den)
-        for y, k in rows[0]:
+        for y, k in row:
             acc[y] = acc.get(y, 0) + scale * k
-    return n * below, _word_rows(w, n, tuple((y, k) for y, k in acc.items() if k), _star_word)
+    return n * below, tuple((y, k) for y, k in acc.items() if k)
 
 
 @functools.lru_cache(maxsize=None)
-def _shuffle_word(w: Word) -> WordRows:
-    """(n!, rows) as for :func:`_star_word`, for the shuffle decomposition."""
+def _shuffle_word(w: Word) -> tuple[int, Row]:
+    """(n!, numerators over n! of reg_sh(w)), as for :func:`_star_word`."""
     n = w.trailing_e1_count()
     if n == 0:
-        return 1, (((w, 1),),)
-    row0: Row = ()
+        return 1, ((w, 1),)
+    row: Row = ()
     if n < w.length:
         scale = math.factorial(n) * (-1) ** n
         e1_power = Word((1 << n) - 1, n)
-        row0 = tuple((y.append(0), scale * k) for y, k in _shuffle_words(w.drop_last(n + 1), e1_power))
-    return math.factorial(n), _word_rows(w, n, row0, _shuffle_word)
+        row = tuple((y.append(0), scale * k) for y, k in _shuffle_words(w.drop_last(n + 1), e1_power))
+    return math.factorial(n), row
 
 
-def _sum_rows(x: LinComb, word: Callable[[Word], WordRows], size: int | None = None) -> list[LinComb]:
-    """The coefficients of T^0..T^(size-1) of x, or all of them when size is None."""
-    terms = [(word(w), c) for w, c in x.items()]
-    den = math.lcm(1, *(c.denominator * d for (d, _), c in terms))
+def _sum_rows(x: LinComb, word: Callable[[Word], tuple[int, Row]], size: int | None = None) -> list[LinComb]:
+    """The coefficients of T^0..T^(size-1) of x, or all of them when size is None.
+
+    The T^j coefficient of w = u.e1^n is reg(u.e1^(n-j)) / j!, so over n! its
+    numerators are C(n, j) times those of ``word(w.drop_last(j))`` over (n-j)!.
+    """
+    terms = [(w, w.trailing_e1_count(), c) for w, c in x.items()]
+    den = math.lcm(1, *(c.denominator * math.factorial(n) for _, n, c in terms))
     if size is None:
-        size = max((len(rows) for (_, rows), _ in terms), default=1)
+        size = max((n + 1 for _, n, _ in terms), default=1)
     acc: list[dict[Word, int]] = [{} for _ in range(size)]
-    for (d, rows), c in terms:
-        scale = c.numerator * (den // (c.denominator * d))
-        for out, row in zip(acc, rows):
-            for y, k in row:
-                out[y] = out.get(y, 0) + scale * k
+    for w, n, c in terms:
+        scale = c.numerator * (den // (c.denominator * math.factorial(n)))
+        for j, out in enumerate(acc[: n + 1]):
+            scale_j = scale * math.comb(n, j)
+            for y, k in word(w.drop_last(j))[1]:
+                out[y] = out.get(y, 0) + scale_j * k
     return [LinComb._of_terms({y: Fraction(k, den) for y, k in out.items() if k}) for out in acc]
 
 
@@ -243,15 +225,17 @@ def z_shuffle_polynomial(k: Index) -> RegPolynomial:
 
 
 def reconstruct(p: RegPolynomial, product: str = "harmonic") -> LinComb:
-    """Substitute T back to e1 using the named product; inverse of decompose."""
+    """Substitute T back to e1 using the named product; inverse of decompose.
+
+    By Horner's rule, (..(c_d e1 + c_(d-1)) e1 + ..) e1 + c_0, each e1 taken by
+    the product, which is commutative and associative."""
     if product == "harmonic":
-        powers, mul = _e1_harmonic_power, harmonic
+        mul = harmonic
     elif product == "shuffle":
-        powers, mul = _e1_shuffle_power, shuffle
+        mul = shuffle
     else:
         raise ValueError(f"unknown product {product!r}")
-    acc = LinComb.zero()
-    for i, c in enumerate(p.coeffs):
-        if c:
-            acc = acc + mul(c, powers(i))
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = mul(acc, _E1) + c
     return acc

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -247,6 +248,30 @@ class TestLiCertificate:
     def test_closed_forms_lie_within_the_bound(self, k, tol):
         for z, v in zip(self.points, li_value(idx(*k), self.points, tol)):
             assert abs(v.value - self._reference(k, z)) <= v.error_bound <= tol, (z, v)
+
+
+class TestSeriesTail:
+    """The tail bound is at least its formula b(lo) / (1 - rho), taken in mpmath, and never 0."""
+
+    zs = [0.5] + [1.0 - 2.0 ** -e for e in range(2, 23)]  # up to the CI's Li schedule, z = 1 - 2^-22
+    los = [2, 17, 65, 129, (1 << 14) + 1, (1 << 20) + 1]  # the half-point tails and Li chunk starts
+
+    def test_bound_is_at_least_the_exact_formula(self):
+        finite = 0
+        with mpmath.workdps(60):
+            for q in range(6):
+                for last in (1, 2, 3):
+                    parts = (1,) * q + (last,)
+                    for z, lo in itertools.product(self.zs, self.los):
+                        bound = num._series_tail(parts, z, lo)
+                        rho = mpmath.mpf(z) * mpmath.exp(q / (lo * (1 + mpmath.log(lo))))
+                        if rho >= 1:
+                            assert bound == math.inf, (parts, z, lo)
+                            continue
+                        b = mpmath.mpf(z) ** lo * mpmath.mpf(lo) ** -last * (1 + mpmath.log(lo)) ** q / mpmath.factorial(q)
+                        assert 0.0 < bound and mpmath.mpf(bound) >= b / (1 - rho), (parts, z, lo)
+                        finite += 1
+        assert finite == 1239
 
 
 class TestLiGrid:

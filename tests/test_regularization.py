@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -286,16 +287,83 @@ def test_harmonic_side_builds_no_index(monkeypatch):
         assert star_decompose(x) == poly
 
 
+def _asked(monkeypatch, name: str) -> list[Word]:
+    """Record every word the per-word cache ``name`` is asked for, recursive calls included."""
+    original = getattr(reg, name)
+    asked = []
+
+    def word(w):
+        asked.append(w)
+        return original(w)
+
+    monkeypatch.setattr(reg, name, word)
+    return asked
+
+
+@pytest.mark.usefixtures("cold_word_caches")
+class TestColdWordMemo:
+    """The per-word caches hold reg of the word alone, and a reg asks them
+    for no word shorter than those of its argument."""
+
+    def test_reg_shuffle_asks_only_for_the_words_of_x(self, monkeypatch):
+        asked = _asked(monkeypatch, "_shuffle_word")
+        for x in _defects():
+            asked.clear()
+            reg_shuffle(x)
+            assert sorted(asked) == sorted(x.support())
+
+    def test_reg_star_asks_only_for_words_of_the_weights_of_x(self, monkeypatch):
+        asked = _asked(monkeypatch, "_star_word")
+        for x in _defects():
+            asked.clear()
+            reg_star(x)
+            assert {w.length for w in asked} <= {w.length for w in x.support()}
+
+    def test_cached_value_is_n_factorial_and_n_factorial_times_reg(self):
+        for w in h1_words(8):
+            n = w.trailing_e1_count()
+            for name, product in (("_star_word", "harmonic"), ("_shuffle_word", "shuffle")):
+                den, row = getattr(reg, name)(w)
+                expected = decompose_oracle(LinComb.of_word(w), product).coeff(0)
+                assert den == math.factorial(n) and dict(row) == {y: c * den for y, c in expected.items()}, (name, w)
+
+
+class TestReconstruct:
+    """Horner's rule: every product ``reconstruct`` takes is its accumulator times e1."""
+
+    @pytest.mark.parametrize("product, decompose", [("harmonic", star_decompose), ("shuffle", shuffle_decompose)])
+    def test_multiplies_only_by_e1(self, monkeypatch, product, decompose):
+        xs = _defects() + [comb(1, 1, 1, 1), comb(2, 1, 1, 1, 1)]
+        polys = [decompose(x) for x in xs]
+        original = getattr(reg, product)
+        e1 = LinComb.of_word(Word(1, 1))
+
+        def times_e1(x, y):
+            assert y == e1
+            return original(x, y)
+
+        monkeypatch.setattr(reg, product, times_e1)
+        for x, poly in zip(xs, polys):
+            assert reconstruct(poly, product) == x
+
+    def test_unknown_product_is_refused_before_any_product(self, monkeypatch):
+        poly = z_star_polynomial(idx(2, 1, 1))
+        for name in ("harmonic", "shuffle"):
+            monkeypatch.setattr(reg, name, _raiser)
+        with pytest.raises(ValueError, match="unknown product 'fancy'"):
+            reconstruct(poly, "fancy")
+
+
 def _sabotage(monkeypatch, name: str, target: Word) -> None:
-    """Add 1 to the first T^0 numerator of ``target`` in the per-word cache ``name``."""
+    """Add 1 to the first numerator of reg of ``target`` in the per-word cache ``name``."""
     original = getattr(reg, name)
 
     def word(w):
-        den, rows = original(w)
+        den, row = original(w)
         if w == target:
-            (y, k), *rest = rows[0]
-            rows = (((y, k + 1), *rest),) + rows[1:]
-        return den, rows
+            (y, k), *rest = row
+            row = ((y, k + 1), *rest)
+        return den, row
 
     monkeypatch.setattr(reg, name, word)
 
