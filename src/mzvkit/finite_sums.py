@@ -8,19 +8,22 @@ the letters of its word, one step per letter.  Prefix sums give O(k * N)
 operations instead of the naive O(N^k) enumeration.  :class:`ChainWalk` is
 that DP, once, for a sequence of chains: each chain continues from the prefix
 it shares with the one before, so chains in sorted order walk their prefix
-trie, each distinct prefix costs one step and only the rows of the current
-path are held.  The walk remembers the sum of every chain it walks, in a
-table it is given or in one of its own; :meth:`ChainWalk.walk` walks a chain
-set's missing chains in sorted order.  It is generic over its arithmetic;
-:class:`IntegerRows` here and :class:`mzvkit.numeric.FloatRows` are the two.
-:func:`evaluate_chain` evaluates one chain in a walk of its own or in one it
-is given.
+trie, each distinct prefix costs one step, each trie node with children
+forms the running sums of its row once for all of them, and only the rows of
+the current path are held.  The walk remembers the sum of every chain it
+walks, in a table it is given or in one of its own; :meth:`ChainWalk.walk`
+walks a chain set's missing chains in sorted order.  It is generic over its
+arithmetic; :class:`IntegerRows` here and :class:`mzvkit.numeric.FloatRows`
+are the two.  :func:`evaluate_chain` evaluates one chain in a walk of its own
+or in one it is given.
 
 :func:`walk_words` walks the chains of a word set missing from a table of
 exact chain sums per N that lives across calls, so that a campaign walks each
 distinct chain once per N; :func:`zn_apply` walks its own missing chains
-likewise, then reads every word from the table.  Only sums outlive a call,
-never rows: a row at N holds N - 1 numerators of about 1.44 * w * N bits.
+likewise, then reads every word from the table.  Both read each word's chain
+from :func:`word_chain`, which builds it once per (word, variant).  Only sums
+and chains outlive a call, never rows: a row at N holds N - 1 numerators of
+about 1.44 * w * N bits.
 
 The diagonal terms of a product of two strict-chain sums come from a second
 prefix-sum DP over the merge grid of their steps.  The naive enumeration of
@@ -109,6 +112,12 @@ _FLAT_STEPS = (Step(False, 0, 1), Step(True, 1, 0))  # weights 1/n and 1/(N - n)
 _NATURAL_STEPS = (Step(True, 0, 1), Step(True, 1, 0))
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_step(part: int) -> Step:
+    """The step of a part in a plain chain, made once per part, so that the chains :func:`word_chain` keeps share it."""
+    return Step(True, 0, part)
+
+
 @dataclass(frozen=True)
 class ConstraintChain:
     """The variables 0 < n_1 R n_2 R ... R n_k < N of a nested sum, one :class:`Step` each.
@@ -130,7 +139,7 @@ class ConstraintChain:
 
     @classmethod
     def plain(cls, k: Index) -> "ConstraintChain":
-        return cls(tuple(Step(True, 0, part) for part in k.parts))
+        return cls(tuple(map(_plain_step, k.parts)))
 
     @classmethod
     def flat(cls, k: Index) -> "ConstraintChain":
@@ -165,7 +174,8 @@ class IntegerRows:
     Row entry n - 1 belongs to the summation value n.  The weight row of an
     exponent pair (a, b) holds lcm^(a+b) / ((N - n)^a * n^b), exact because
     every n < N divides lcm, so a row after steps of total exponent w is the
-    numerator of its sums over lcm^w.
+    numerator of its sums over lcm^w.  Rows are lists, a new one per call, so
+    the walk ``level`` a call is given does not matter here.
     """
 
     one = Fraction(1)
@@ -178,8 +188,16 @@ class IntegerRows:
         N, scale = self.N, self.lcm ** (a + b)
         return [scale // ((N - n) ** a * n ** b) for n in range(1, N)]
 
-    def step(self, weights: list[int], values: list[int], strict: bool) -> list[int]:
-        """Each weight times the sum of the values below (strict) or up to (non-strict) its n."""
+    def cumulate(self, values: list[int], level: int) -> list[int]:
+        """The running sums of a row: entry n - 1 sums the values up to n."""
+        return list(itertools.accumulate(values))
+
+    def weigh(self, weights: list[int], sums: list[int], strict: bool, level: int) -> list[int]:
+        """Each weight times the running sum below (strict) or up to (non-strict) its n."""
+        return list(map(operator.mul, weights, itertools.chain((0,), sums) if strict else sums))
+
+    def step(self, weights: list[int], values: list[int], strict: bool, level: int) -> list[int]:
+        """:meth:`weigh` on the running sums of ``values``, formed on the fly; ``values`` stay as they are."""
         below = itertools.accumulate(values, initial=0) if strict else itertools.accumulate(values)
         return list(map(operator.mul, weights, below))
 
@@ -189,14 +207,27 @@ class IntegerRows:
 
 
 class ChainWalk:
-    """The prefix-sum DP of a sequence of chains, sharing the rows of common prefixes.
+    """The prefix-sum DP of a sequence of chains, sharing the work of common prefixes.
 
     Each chain continues from the longest prefix it shares with the chain
     before it, so chains taken in sorted order walk their prefix trie: each
-    distinct prefix costs one DP step, and only the rows of the current path
-    are kept.  ``rows`` is the arithmetic, with the interface of
-    :class:`IntegerRows`; :class:`mzvkit.numeric.FloatRows` is the float64
-    one.  Each weight row is built once per exponent pair.
+    distinct prefix forms its row once, and only the rows of the current path
+    are kept.  :meth:`walk` knows the children each trie node has left to
+    walk, so that each node with children forms the running sums of its row
+    once.  A node with one child left takes ``rows.step``, which sums on the
+    fly into the child's row; a node with more sums its row once for all of
+    them.  Past the first step the sums overwrite the node's row, after its
+    own total has been read, as in sorted order a chain comes before the
+    chains that extend it; a chain asked for after that forms its row again.
+    The first step's row is a weight row, which other steps share, so its
+    sums take an array of their own, dropped once its last child is formed.
+    Outside :meth:`walk` a step takes ``rows.step``, unless a walk has left
+    its parent's running sums on the path.
+
+    ``rows`` is the arithmetic, with the interface of :class:`IntegerRows`;
+    :class:`mzvkit.numeric.FloatRows` is the float64 one, which writes the
+    rows of each walk level into one buffer.  Each weight row is built once
+    per exponent pair.
 
     The walk remembers the sum of every chain it walks in ``sums``, a dict
     keyed by steps, and reads a chain found there instead of walking it.
@@ -209,31 +240,53 @@ class ChainWalk:
         self.sums = {} if sums is None else sums
         self._weights: dict = {}  # weight rows by exponent pair
         self._steps: tuple[Step, ...] = ()  # the chain of the current path
-        self._path: list = []  # _path[i]: the row after the first i + 1 steps of _steps
+        self._path: list = []  # _path[i]: the row after the first i + 1 steps of _steps, or its running sums
+        self._summed: list[bool] = []  # _summed[i]: _path[i] holds running sums
+        self._last_child: dict = {}  # prefix -> the last step after it that :meth:`walk` will take
 
     def value(self, steps: tuple[Step, ...]):
         """The sum of the chain with these steps."""
         known = self.sums.get(steps)
         if known is not None:
             return known
-        rows, path, previous = self.rows, self._path, self._steps
+        rows, path, summed, previous, ahead = self.rows, self._path, self._summed, self._steps, self._last_child
         shared = 0
         while shared < min(len(previous), len(steps)) and previous[shared] == steps[shared]:
             shared += 1
-        del path[shared:]
-        for strict, a, b in steps[shared:]:
+        if shared == len(steps) and shared and summed[shared - 1]:
+            shared -= 1  # the chain's last row was summed for a chain that extends it
+        del path[shared:], summed[shared:]
+        for level in range(shared, len(steps)):
+            strict, a, b = steps[level]
             weights = self._weights.get((a, b))
             if weights is None:
                 weights = self._weights[a, b] = rows.weights(a, b)
-            path.append(rows.step(weights, path[-1], strict) if path else weights)
+            if level == 0:
+                row = weights
+            else:
+                # whether the parent has a child to walk after this one; only walk() looks ahead
+                again = bool(ahead) and ahead.get(steps[:level], steps[level]) != steps[level]
+                if summed[-1] or again:
+                    if not summed[-1]:
+                        path[-1], summed[-1] = rows.cumulate(path[-1], level - 1), True
+                    row = rows.weigh(weights, path[-1], strict, level)
+                    if level == 1 and not again:  # the first step's own array of running sums is done with
+                        path[0], summed[0] = self._weights[steps[0].a, steps[0].b], False
+                else:
+                    row = rows.step(weights, path[-1], strict, level)
+            path.append(row)
+            summed.append(False)
         self._steps = steps
         total = self.sums[steps] = rows.total(path[-1], steps) if steps else rows.one
         return total
 
     def walk(self, chains: Iterable[tuple[Step, ...]]) -> None:
         """Walk the chains with these steps that are missing from ``sums``, in sorted order: along their prefix trie."""
-        for steps in sorted({steps for steps in chains if steps not in self.sums}):
+        todo = sorted({steps for steps in chains if steps not in self.sums})
+        self._last_child = {steps[:i]: steps[i] for steps in todo for i in range(1, len(steps))}
+        for steps in todo:
             self.value(steps)
+        self._last_child = {}
 
 
 def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> Fraction:
@@ -294,6 +347,15 @@ def variant_chain(variant: str) -> Callable[[Index], ConstraintChain]:
 
 
 @functools.lru_cache(maxsize=None)
+def word_chain(w: Word, variant: str) -> ConstraintChain:
+    """The chain of the index of an H1 word in a variant, built once per (word, variant) and kept.
+
+    The exact and float walks at every N read their words' chains here.
+    """
+    return variant_chain(variant)(index_of_word(w))
+
+
+@functools.lru_cache(maxsize=None)
 def _chain_sums(N: int) -> dict[tuple[Step, ...], Fraction]:
     """The exact sums of the chains walked so far at N, by steps; :func:`zn_apply` and :func:`walk_words` fill it."""
     return {}
@@ -305,10 +367,10 @@ def walk_words(words: Iterable[Word], N: int, variant: str = "plain") -> None:
     :func:`zn_apply` at N then reads these words from the table.  Every word
     must lie in H1; an unknown variant raises DomainError.
     """
-    chain_of = variant_chain(variant)
+    variant_chain(variant)  # an unknown variant raises, also for no words
     if N < 1:
         raise DomainError("N must be a positive integer")
-    ChainWalk(IntegerRows(N), _chain_sums(N)).walk(chain_of(index_of_word(w)).steps for w in words)
+    ChainWalk(IntegerRows(N), _chain_sums(N)).walk(word_chain(w, variant).steps for w in words)
 
 
 def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
@@ -317,10 +379,10 @@ def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     The chains missing from the exact table at N, which outlives the call,
     take one :meth:`ChainWalk.walk`; then every word is read from the table.
     """
-    chain_of = variant_chain(variant)
+    variant_chain(variant)  # an unknown variant raises, also for no words
     if N < 1:
         raise DomainError("N must be a positive integer")
-    terms = [(chain_of(index_of_word(w)), c) for w, c in x.items()]
+    terms = [(word_chain(w, variant), c) for w, c in x.items()]
     walk = ChainWalk(IntegerRows(N), _chain_sums(N))
     walk.walk(chain.steps for chain, _ in terms)
     total = Fraction(0)

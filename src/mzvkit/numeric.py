@@ -29,9 +29,11 @@ the same slice reversed.  A table grows by powering only its new entries,
 and each walk trims the tables to its own exponents, so that memory follows
 the latest walk.  Every float equals that of evaluating each chain on its
 own at its N: the same power per weight (numpy's ``pow`` of a value does not
-depend on where it sits in an array), the same sequential ``cumsum``,
-``.sum()`` over the first N - 1 entries of the last row, and the words
-combined as ``float(c) * value`` in term order.
+depend on where it sits in an array), the same sequential ``cumsum``, whose
+first m entries are the ``cumsum`` of the first m values bit for bit, so that
+the children of a trie node share one, ``.sum()`` over the first N - 1
+entries of the last row, and the words combined as ``float(c) * value`` in
+term order.
 
 The rate campaigns evaluate whole grids in one call: :func:`zn_apply_f` over
 a sequence of N, and :func:`li_value` over a sequence of z, building the
@@ -52,7 +54,7 @@ import numpy as np
 
 from .algebra import Index, LinComb, Word, as_index, index_of_word, word_of_index
 from .errors import CapExceededError, DomainError
-from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, variant_chain
+from .finite_sums import ChainWalk, ConstraintChain, RArgs, Step, variant_chain, word_chain
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -389,6 +391,14 @@ class FloatRows:
     when a and b are both non-zero: the factor x ** -0.0 is exactly 1.0, so
     leaving it out changes no float.  The views keep their tables alive, so a
     walk still works after a later one has trimmed the shared tables.
+
+    The walk forms one row per distinct prefix and the running sums of each
+    trie node with children once.  Every row of a walk level is written into
+    that level's buffer, made at its first use, and a node's running sums
+    overwrite its row.  A first step's row is a weight row, so its running
+    sums take an array of their own, the only one beyond the level buffers,
+    which :class:`~mzvkit.finite_sums.ChainWalk` keeps only while that step
+    has a child left to walk.
     """
 
     def __init__(self, ns: Sequence[int], exponents: Iterable[int]) -> None:
@@ -407,6 +417,7 @@ class FloatRows:
                 table.flags.writeable = False
                 _INVERSE_POWERS[e] = table
             self.powers[e] = table[: N - 1]
+        self._buffers: dict[int, np.ndarray] = {}  # the rows by walk level
 
     def weights(self, a: int, b: int) -> np.ndarray:
         if b == 0:
@@ -415,15 +426,35 @@ class FloatRows:
             return self.powers[b]
         return self.powers[a][::-1] * self.powers[b]
 
-    def step(self, weights: np.ndarray, values: np.ndarray, strict: bool) -> np.ndarray:
-        """Each weight times the sum of the values below (strict) or up to (non-strict) its n."""
+    def _buffer(self, level: int) -> np.ndarray:
+        """The row of this walk level, made at its first use and overwritten by every later row there."""
+        out = self._buffers.get(level)
+        if out is None:
+            out = self._buffers[level] = np.empty(self.ns[-1] - 1)
+        return out
+
+    def cumulate(self, values: np.ndarray, level: int) -> np.ndarray:
+        """The running sums of a row: in place past the first level, whose rows are shared weight rows."""
+        return np.cumsum(values, out=values) if level else np.cumsum(values)
+
+    def weigh(self, weights: np.ndarray, sums: np.ndarray, strict: bool, level: int) -> np.ndarray:
+        """Each weight times the running sum below (strict) or up to (non-strict) its n, in the row of ``level``."""
+        out = self._buffer(level)
+        if not strict:
+            return np.multiply(weights, sums, out=out)
+        out[:1] = 0.0
+        np.multiply(weights[1:], sums[:-1], out=out[1:])
+        return out
+
+    def step(self, weights: np.ndarray, values: np.ndarray, strict: bool, level: int) -> np.ndarray:
+        """:meth:`weigh` on the running sums of ``values``, summed into the row of ``level``."""
+        out = self._buffer(level)
         if strict:
-            below = np.empty_like(values)
-            below[:1] = 0.0
-            np.cumsum(values[:-1], out=below[1:])
+            out[:1] = 0.0
+            np.cumsum(values[:-1], out=out[1:])
         else:
-            below = np.cumsum(values)
-        return np.multiply(weights, below, out=below)
+            np.cumsum(values, out=out)
+        return np.multiply(weights, out, out=out)
 
     def total(self, values: np.ndarray, steps: tuple[Step, ...]) -> tuple[float, ...]:
         """The chain's sum at each N of the grid, from its last row."""
@@ -471,18 +502,18 @@ def walk_words_f(words: Iterable[Word], ns: Sequence[int], variant: str = "plain
 
     For the plain variant that is one walk over the whole grid, at its
     largest N; for flat and natural chains one walk per N.  Only a word
-    missing at some N of a walk's grid has its chain built, and each walk
-    takes the missing chains through
-    :meth:`~mzvkit.finite_sums.ChainWalk.walk`, so it walks their prefix trie
-    once.  Returns the tables of the N of ``ns``, in order.  Every word must
+    missing at some N of a walk's grid has its chain read, from
+    :func:`~mzvkit.finite_sums.word_chain`, and each walk takes the missing
+    chains through :meth:`~mzvkit.finite_sums.ChainWalk.walk`, so it walks
+    their prefix trie once.  Returns the tables of the N of ``ns``, in order.  Every word must
     lie in H1; an unknown variant raises DomainError.
     """
-    chain_of = variant_chain(variant)
+    variant_chain(variant)  # an unknown variant raises, also for no words
     known = {n: _word_value_f(n, variant) for n in sorted(set(ns))}
     words = set(words)
     for group in [list(known)] if variant == "plain" else [[n] for n in known]:
         tables = [known[n] for n in group]
-        missing = {w: chain_of(index_of_word(w)).steps for w in words if any(w not in table for table in tables)}
+        missing = {w: word_chain(w, variant).steps for w in words if any(w not in table for table in tables)}
         if missing:
             walk = ChainWalk(FloatRows(group, _exponents(missing.values())))
             walk.walk(missing.values())

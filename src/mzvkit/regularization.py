@@ -46,7 +46,6 @@ from .algebra import (
     _harmonic_parts,
     _shuffle_words,
     harmonic,
-    shuffle,
 )
 from .errors import DomainError
 
@@ -224,18 +223,34 @@ def z_shuffle_polynomial(k: Index) -> RegPolynomial:
     return shuffle_decompose(LinComb.of_index(k))
 
 
+def _shuffle_e1(x: LinComb) -> LinComb:
+    """x sh e1: e1 put before each letter of each word of x and at its end, one term per place.
+
+    Unlike ``shuffle``, it fills no ``_shuffle_words`` table: each accumulator
+    of :func:`reconstruct` is a new combination, whose tables would serve no
+    later product."""
+    acc: dict[Word, Fraction] = {}
+    for w, c in x.items():
+        for i in range(w.length + 1):  # i: the letters after the new e1
+            low = w.bits & ((1 << i) - 1)
+            y = Word(((w.bits - low) << 1) | (1 << i) | low, w.length + 1)
+            acc[y] = acc.get(y, 0) + c
+    return LinComb._of_terms({y: c for y, c in acc.items() if c})
+
+
 def reconstruct(p: RegPolynomial, product: str = "harmonic") -> LinComb:
     """Substitute T back to e1 using the named product; inverse of decompose.
 
     By Horner's rule, (..(c_d e1 + c_(d-1)) e1 + ..) e1 + c_0, each e1 taken by
     the product, which is commutative and associative."""
     if product == "harmonic":
-        mul = harmonic
+        def times_e1(y: LinComb) -> LinComb:
+            return harmonic(y, _E1)
     elif product == "shuffle":
-        mul = shuffle
+        times_e1 = _shuffle_e1
     else:
         raise ValueError(f"unknown product {product!r}")
     acc = p.coeffs[-1]
     for c in reversed(p.coeffs[:-1]):
-        acc = mul(acc, _E1) + c
+        acc = times_e1(acc) + c
     return acc

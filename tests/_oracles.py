@@ -4,10 +4,11 @@ These deliberately avoid the recursive implementations in the package: the
 shuffle oracle enumerates letter placements, the quasi-shuffle oracle walks
 the merge grid from the left, and both count multiplicities directly.  The
 float chain oracle is the one-chain-at-a-time DP that the package's shared
-prefix walk replaced; the walk must reproduce its floats bit for bit.  The
-half-point oracles sum each prefix's series, and the 1/2-Hoelder convolution,
-one word at a time, as the package did before one pass per word served every
-prefix; the pass must reproduce their floats bit for bit.  The
+prefix walk replaced; the walk must reproduce its floats bit for bit, and
+form each row and each running sum of its prefix trie once (``trie_work``).
+The half-point oracles sum each prefix's series, and the 1/2-Hoelder
+convolution, one word at a time, as the package did before one pass per word
+served every prefix; the pass must reproduce their floats bit for bit.  The
 decomposition oracles are the recursive elimination that the package's
 closed forms replaced; the closed forms must reproduce them exactly.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +89,42 @@ def chain_value_f_oracle(chain: ConstraintChain, N: int) -> float:
         values = w * prefix
     assert values is not None
     return float(values.sum())
+
+
+def trie_work(chains) -> tuple[int, int]:
+    """The rows and the running sums that one sorted walk of these chains forms, one each per trie node.
+
+    A row for each distinct prefix past the first step, whose row is a weight
+    row, and running sums for each distinct prefix that a longer one extends.
+    """
+    prefixes = {c[:i] for c in chains for i in range(1, len(c) + 1)}
+    return sum(len(q) > 1 for q in prefixes), len({q[:-1] for q in prefixes if len(q) > 1})
+
+
+def counting_rows(base: type, work: Counter) -> type:
+    """``base``, the arithmetic of a chain walk, counting in ``work`` the rows it forms and the running sums it makes.
+
+    ``step`` does both, ``weigh`` forms a row from running sums and
+    ``cumulate`` makes them.  ``work`` is a class attribute, which an
+    instance may shadow with a counter of its own.
+    """
+
+    class Counting(base):
+        def step(self, weights, values, strict, level):
+            self.work["rows"] += 1
+            self.work["cumulations"] += 1
+            return super().step(weights, values, strict, level)
+
+        def weigh(self, weights, sums, strict, level):
+            self.work["rows"] += 1
+            return super().weigh(weights, sums, strict, level)
+
+        def cumulate(self, values, level):
+            self.work["cumulations"] += 1
+            return super().cumulate(values, level)
+
+    Counting.work = work
+    return Counting
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,8 @@ from mzvkit.finite_sums import (
 )
 from mzvkit.numeric import chain_value_f
 from mzvkit.verification import CampaignConfig, _shuffle_pairs
+
+from _oracles import counting_rows, trie_work
 
 
 def idx(*parts):
@@ -189,36 +192,30 @@ class TestLinearMaps:
         x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
         product = shuffle(x, y)
         chains = sorted(ConstraintChain.natural(index_of_word(w)).steps for w, _ in product.items())
-        calls = {"weights": 0, "step": 0}
+        work = Counter()
 
-        class Counting(IntegerRows):
+        class Counting(counting_rows(IntegerRows, work)):
             def weights(self, a, b):
-                calls["weights"] += 1
+                work["weights"] += 1
                 return super().weights(a, b)
 
-            def step(self, weights, values, strict):
-                calls["step"] += 1
-                return super().step(weights, values, strict)
-
         walk = ChainWalk(Counting(9))
+        walk.walk(chains)
         sums = [walk.value(steps) for steps in chains]
         assert sums == [evaluate_chain(ConstraintChain(steps), 9) for steps in chains]
-        longer_prefixes = {steps[:i] for steps in chains for i in range(2, len(steps) + 1)}
-        assert calls["step"] == len(longer_prefixes) < sum(len(steps) - 1 for steps in chains)
-        assert calls["weights"] == len({(s.a, s.b) for steps in chains for s in steps})
+        rows, nodes = trie_work(chains)
+        assert work["rows"] == rows < sum(len(steps) - 1 for steps in chains)  # one row per distinct prefix
+        assert work["cumulations"] == nodes < rows  # one running sum per node with children
+        assert work["weights"] == len({(s.a, s.b) for steps in chains for s in steps})
 
     def test_walk_takes_the_missing_chains_in_sorted_order(self):
         x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
         words = harmonic(x, y).support() | shuffle(x, y).support()
         chains = [ConstraintChain.natural(index_of_word(w)).steps for w in words]
         known = chains[::3]
-        walked, steps = [], []
+        walked, work = [], Counter()
 
-        class Counting(IntegerRows):
-            def step(self, weights, values, strict):
-                steps.append(len(values))
-                return super().step(weights, values, strict)
-
+        class Counting(counting_rows(IntegerRows, work)):
             def total(self, values, chain):
                 walked.append(chain)
                 return super().total(values, chain)
@@ -228,52 +225,42 @@ class TestLinearMaps:
         walk.walk(chains + chains[::-1])  # in any order, with repeats
         new = sorted(set(chains) - set(known))
         assert walked == new  # only the missing chains, each once, in sorted order
-        assert len(steps) == len({c[:i] for c in new for i in range(2, len(c) + 1)})
+        assert (work["rows"], work["cumulations"]) == trie_work(new)
         assert table == {c: evaluate_chain(ConstraintChain(c), 9) for c in chains}
         walked.clear()
         walk.walk(chains)  # every chain known: nothing to walk
-        assert walked == [] and len(steps) == len({c[:i] for c in new for i in range(2, len(c) + 1)})
+        assert walked == [] and (work["rows"], work["cumulations"]) == trie_work(new)
 
     def test_every_word_goes_through_evaluate_chain(self, monkeypatch):
         # the benchmark's tracer counts the DP work of zn_apply at evaluate_chain
         import mzvkit.finite_sums as fs
 
-        seen, step_calls = [], []
+        seen, work = [], Counter()
         original = fs.evaluate_chain
 
         def counting(chain, N, walk=None):
             seen.append((chain.steps, N))
             return original(chain, N, walk)
 
-        class CountingRows(IntegerRows):
-            def step(self, weights, values, strict):
-                step_calls.append(len(values))
-                return super().step(weights, values, strict)
-
         monkeypatch.setattr(fs, "evaluate_chain", counting)
-        monkeypatch.setattr(fs, "IntegerRows", CountingRows)
+        monkeypatch.setattr(fs, "IntegerRows", counting_rows(IntegerRows, work))
         fs._chain_sums.cache_clear()
         product = harmonic(LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1)))
         expected = {ConstraintChain.flat(index_of_word(w)).steps for w in product.support()}
         oracle = sum((c * brute_force(index_of_word(w), 7, kind="flat") for w, c in product.items()), Fraction(0))
         for call in ("cold", "warm"):
             seen.clear()
-            step_calls.clear()
+            work.clear()
             assert zn_apply(product, 7, "flat") == oracle, call
             assert {steps for steps, _ in seen} == expected and len(seen) == len(product)
             assert {N for _, N in seen} == {7}
             # the second call reads every sum from the table at N = 7 and walks nothing
-            assert (len(step_calls) > 0) == (call == "cold"), call
+            assert (work["rows"] > 0) == (call == "cold"), call
 
     def test_walk_words_fills_the_table_in_one_sorted_walk(self, monkeypatch):
         import mzvkit.finite_sums as fs
 
-        step_calls = []
-
-        class CountingRows(IntegerRows):
-            def step(self, weights, values, strict):
-                step_calls.append(len(values))
-                return super().step(weights, values, strict)
+        work = Counter()
 
         def refuse(*args, **kwargs):
             raise AssertionError("walk_words goes round zn_apply and evaluate_chain")
@@ -283,20 +270,20 @@ class TestLinearMaps:
         words = {w for z in combos for w in z.support()}
         chains = {ConstraintChain.natural(index_of_word(w)).steps for w in words}
         fs._chain_sums.cache_clear()
-        monkeypatch.setattr(fs, "IntegerRows", CountingRows)
+        monkeypatch.setattr(fs, "IntegerRows", counting_rows(IntegerRows, work))
         with monkeypatch.context() as m:
             m.setattr(fs, "zn_apply", refuse)
             m.setattr(fs, "evaluate_chain", refuse)
             fs.walk_words(words, 9, "natural")
-            assert len(step_calls) == len({c[:i] for c in chains for i in range(2, len(c) + 1)})
+            assert (work["rows"], work["cumulations"]) == trie_work(chains)
             assert set(fs._chain_sums(9)) == chains
-            step_calls.clear()
+            work.clear()
             fs.walk_words(words, 9, "natural")  # every chain known: nothing to walk
-            assert step_calls == []
+            assert not work
         for z in combos:
             expected = sum((c * brute_force(index_of_word(w), 9, kind="natural") for w, c in z.items()), Fraction(0))
             assert zn_apply(z, 9, "natural") == expected
-        assert step_calls == []  # zn_apply read every word from the table
+        assert not work  # zn_apply read every word from the table
         with pytest.raises(DomainError):
             fs.walk_words([Word.parse("01")], 9)
         with pytest.raises(DomainError):

@@ -467,6 +467,55 @@ class TestFloatTwins:
         assert zn_apply_f(product, n, variant) == expected
         assert zn_apply_f(product, n, variant) == expected  # now every word from the memo
 
+    # every prefix of chains of each kind: flat (mixed relations), natural, plain, and one with (N - n)^-a n^-b weights
+    WALK_CHAINS = sorted(
+        {
+            chain.steps[:i]
+            for chain in (
+                ConstraintChain.flat(idx(1, 2, 1)),
+                ConstraintChain.flat(idx(2, 1, 1)),
+                ConstraintChain.natural(idx(1, 2)),
+                ConstraintChain.plain(idx(3, 1, 2)),
+                ConstraintChain.plain(idx(1, 1, 1)),
+                ConstraintChain.from_rargs(RArgs.parse("2,1;1,3")),
+            )
+            for i in range(1, chain.length + 1)
+        }
+    )
+
+    # a walk of two chains whose shared prefix e1 e1 has both as children, which sums that prefix's
+    # row in place, then the prefix on its own: it must form its row again
+    EXTENDED_FIRST = [
+        ConstraintChain.flat(idx(1, 2, 1)).steps[:3],
+        ConstraintChain.natural(idx(1, 2)).steps,
+        ConstraintChain.natural(idx(1, 2)).steps[:2],
+    ]
+
+    @given(
+        st.permutations(WALK_CHAINS),
+        st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        st.sampled_from([1, 2, 9, 300]),
+    )
+    @example(EXTENDED_FIRST + sorted(set(WALK_CHAINS) - set(EXTENDED_FIRST)), [2, 1], 300)
+    @settings(max_examples=40, deadline=None)
+    def test_walk_in_any_order_matches_each_chain_alone_bit_for_bit(self, order, sizes, n):
+        """Batches of the chains in turn through :meth:`ChainWalk.walk` and one by one through :meth:`ChainWalk.value`."""
+        floats = ChainWalk(num.FloatRows((n,), num._exponents(order)))
+        exact = ChainWalk(fs.IntegerRows(n))
+        start = 0
+        for i, size in enumerate(itertools.cycle(sizes)):
+            batch = order[start : start + size]
+            if not batch:
+                break
+            start += size
+            if i % 2 == 0:
+                floats.walk(batch)
+                exact.walk(batch)
+            for steps in batch:
+                chain = ConstraintChain(steps)
+                assert floats.value(steps) == (chain_value_f_oracle(chain, n),), steps
+                assert exact.value(steps) == fs.evaluate_chain(chain, n), steps
+
     def test_memo_keeps_variants_apart(self):
         x = LinComb.of_index(idx(2))
         values = {v: zn_apply_f(x, 5, v) for v in ("plain", "flat", "natural")}

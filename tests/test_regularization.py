@@ -249,8 +249,8 @@ class TestIndependence:
     def test_star_side_never_shuffles(self, monkeypatch):
         defects = _defects()
         expected = [decompose_oracle(x, "harmonic") for x in defects]
+        monkeypatch.setattr(algebra, "shuffle", _raiser)  # regularization binds no shuffle
         for module in (algebra, reg):
-            monkeypatch.setattr(module, "shuffle", _raiser)
             monkeypatch.setattr(module, "_shuffle_words", _raiser)
         for x, poly in zip(defects, expected):
             assert star_decompose(x) == poly
@@ -335,20 +335,42 @@ class TestReconstruct:
     def test_multiplies_only_by_e1(self, monkeypatch, product, decompose):
         xs = _defects() + [comb(1, 1, 1, 1), comb(2, 1, 1, 1, 1)]
         polys = [decompose(x) for x in xs]
-        original = getattr(reg, product)
         e1 = LinComb.of_word(Word(1, 1))
 
         def times_e1(x, y):
             assert y == e1
-            return original(x, y)
+            return harmonic(x, y)
 
-        monkeypatch.setattr(reg, product, times_e1)
+        if product == "harmonic":
+            monkeypatch.setattr(reg, "harmonic", times_e1)
+        else:  # e1 goes into each word directly: no shuffle product and no table of one
+            monkeypatch.setattr(algebra, "shuffle", _raiser)
+            for module in (algebra, reg):
+                monkeypatch.setattr(module, "_shuffle_words", _raiser)
         for x, poly in zip(xs, polys):
             assert reconstruct(poly, product) == x
 
+    def test_shuffle_side_fills_no_product_table(self):
+        e1 = LinComb.of_word(Word(1, 1))
+        for x in _defects() + [comb(3, 3, 3, 1, 1, 1), comb(2, 1, 2, 1, 1)]:
+            poly = shuffle_decompose(x)
+            before = algebra._shuffle_words.cache_info().currsize
+            got = reconstruct(poly, "shuffle")
+            assert algebra._shuffle_words.cache_info().currsize == before
+            horner = poly.coeffs[-1]  # the same Horner steps through the shuffle product
+            for c in reversed(poly.coeffs[:-1]):
+                horner = shuffle(horner, e1) + c
+            assert got == horner == x
+
+    @given(st.lists(st.tuples(st.text("01", max_size=8), st.integers(-3, 3)), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffle_with_e1_inserts_e1_at_every_place(self, terms):
+        x = LinComb((Word.parse(w), c) for w, c in terms)
+        assert reg._shuffle_e1(x) == shuffle(x, LinComb.of_word(Word(1, 1)))
+
     def test_unknown_product_is_refused_before_any_product(self, monkeypatch):
         poly = z_star_polynomial(idx(2, 1, 1))
-        for name in ("harmonic", "shuffle"):
+        for name in ("harmonic", "_shuffle_e1"):
             monkeypatch.setattr(reg, name, _raiser)
         with pytest.raises(ValueError, match="unknown product 'fancy'"):
             reconstruct(poly, "fancy")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from mzvkit.verification import (
     verify_lemma_r,
     verify_msw,
 )
+
+from _oracles import counting_rows, trie_work
 
 FAST = CampaignConfig(max_weight=2, msw_max_weight=3, harmonic_pairs=10, harmonic_n=30)
 
@@ -390,46 +393,46 @@ class TestWordTables:
 
     @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
     def test_one_float_walk_per_n(self, monkeypatch, cold_tables, cfg):
-        built, steps = [], []
+        built, walks = [], []
 
-        class Counting(num.FloatRows):
+        class Counting(counting_rows(num.FloatRows, Counter())):
             def __init__(self, ns, exponents):
                 built.append(tuple(ns))
+                self.work, self.chains = Counter(), []
+                walks.append(self)
                 super().__init__(ns, exponents)
 
-            def step(self, weights, values, strict):
-                steps.append(len(values))
-                return super().step(weights, values, strict)
+            def total(self, values, chain):
+                self.chains.append(chain)
+                return super().total(values, chain)
 
         monkeypatch.setattr(num, "FloatRows", Counting)
         verify_asymp_shuffle(cfg)
         assert sorted(built) == [(n,) for n in cfg.n_schedule]  # natural chains: one walk per N
         if cfg == CampaignConfig():
-            assert len(steps) <= 600  # 1837 steps in 220 walks before the campaign walked its words at once
+            # 1837 steps in 220 walks before the campaign walked its words at once
+            assert sum(walk.work["rows"] for walk in walks) <= 600
         built.clear()
         verify_asymp_dsr(cfg)
         assert built == [cfg.n_schedule]  # plain chains: one walk in all
+        # each walk forms one row per distinct prefix and one running sum per node with children
+        assert [(w.work["rows"], w.work["cumulations"]) for w in walks] == [trie_work(w.chains) for w in walks]
 
     @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
     def test_harmonic_walks_each_distinct_prefix_once(self, monkeypatch, cold_tables, cfg):
-        steps = []
-
-        class Counting(ver.fs.IntegerRows):
-            def step(self, weights, values, strict):
-                steps.append(len(values))
-                return super().step(weights, values, strict)
-
-        monkeypatch.setattr(ver.fs, "IntegerRows", Counting)
+        work = Counter()
+        monkeypatch.setattr(ver.fs, "IntegerRows", counting_rows(ver.fs.IntegerRows, work))
         (report,) = verify_harmonic(cfg)
         chains = set()
         for case in report.cases:
             x, y = (LinComb.of_index(Index.parse(case.inputs[k])) for k in ("k1", "k2"))
             for z in (harmonic(x, y), x, y):
                 chains.update(ConstraintChain.plain(index_of_word(w)).steps for w in z.support())
-        # the first step of a chain is its weight row; each longer distinct prefix costs one step
-        assert len(steps) == len({c[:i] for c in chains for i in range(2, len(c) + 1)})
+        # the first step of a chain is its weight row; each longer distinct prefix costs one step,
+        # and each prefix that a longer one extends one running sum
+        assert (work["rows"], work["cumulations"]) == trie_work(chains)
         if cfg == CampaignConfig():
-            assert len(steps) <= 330  # 1190 steps when each call walked its own words
+            assert work["rows"] <= 330  # 1190 steps when each call walked its own words
 
     @pytest.mark.parametrize(
         "campaign", [verify_harmonic, verify_asymp_shuffle, verify_asymp_dsr, verify_asymp_h]
