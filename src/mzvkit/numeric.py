@@ -35,10 +35,23 @@ the children of a trie node share one, ``.sum()`` over the first N - 1
 entries of the last row, and the words combined as ``float(c) * value`` in
 term order.
 
+:func:`walk_chains_f` walks any set of chains, such as the R sums, once per
+N, and keeps nothing.
+
 The rate campaigns evaluate whole grids in one call: :func:`zn_apply_f` over
 a sequence of N, and :func:`li_value` over a sequence of z, building the
 inner sums of each chunk of its series, which do not depend on z, once for
-every point.  Both give the floats of their one-point calls.
+every point; :func:`_li_series`, the pass under :func:`li_value`, does so
+for a set of indices, sharing the power rows and the inner running sums of
+each chunk among them.  All give the floats of their one-point calls.
+
+The weight rows are numpy's vectorised ``pow`` (``np.arange(...) ** -e``),
+which does not depend on where a value sits in the array, but is not
+correctly rounded.  With numpy 2.4.6 on an x86-64 CPU with AVX-512, about
+5% of the m ** -e (e = 2..5, m < 2^19, 20,000 samples each) differ from
+``1 / m**e``, and numpy's scalar ``pow`` differs from its array ``pow`` on
+about as many.  So the float sums, and the reports that read them, are
+reproducible on one numpy build and CPU, not across them.
 """
 
 from __future__ import annotations
@@ -252,7 +265,9 @@ def li_value(
     bound is that tail bound plus a relative rounding allowance, which is not
     a certificate.  A point whose tail bound is still at least ``tol / 2``
     after :data:`LI_TERM_CAP` terms raises
-    :class:`~mzvkit.errors.CapExceededError`.
+    :class:`~mzvkit.errors.CapExceededError`.  The pass is
+    :func:`_li_series` over the one index, which prop-asymp-Li runs over all
+    its indices at once, with the floats of a call per index.
     """
     k = as_index(k)
     zs, scalar = _grid(z)
@@ -260,51 +275,92 @@ def li_value(
         raise DomainError("z must lie strictly between 0 and 1")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    values = _li_series(k.parts, zs, tol) if k.parts else [Real(1.0, 0.0) for _ in zs]
+    values = _li_series([k.parts], zs, tol)[k.parts]
+    if isinstance(values, CapExceededError):
+        raise values
     return values[0] if scalar else values
 
 
-def _li_series(parts: tuple[int, ...], zs: list[float], tol: float) -> list[Real]:
-    """The power series of :func:`li_value` at every point of ``zs`` in one pass.
+class _LiSum:
+    """One index's running state in :func:`_li_series`: its totals, its tail bounds and the points still summing."""
+
+    def __init__(self, parts: tuple[int, ...], points: int) -> None:
+        self.parts = parts
+        self.totals = [0.0] * points
+        self.tails = [0.0] * points
+        self.running = list(range(points)) if parts else []
+        self.error: CapExceededError | None = None
+
+    def result(self) -> list[Real] | CapExceededError:
+        if self.error is not None:
+            return self.error
+        if not self.parts:
+            return [Real(1.0, 0.0) for _ in self.totals]
+        return [Real(total, tail + 1e-14 * (1.0 + abs(total))) for total, tail in zip(self.totals, self.tails)]
+
+
+def _li_series(
+    indices: Iterable[tuple[int, ...]], zs: list[float], tol: float
+) -> dict[tuple[int, ...], list[Real] | CapExceededError]:
+    """The power series of :func:`li_value` for every index of ``indices`` at every point of ``zs`` in one pass.
 
     The series, Li_k(z) = sum over m of z^m m^-k_r g(m) with g as in
-    :func:`_series_tail`, runs in chunks of 2^14 terms.  Per chunk,
-    g(m) m^-k_r, which does not depend on z, is formed once; each point still
-    summing adds z^lo times the sum of that row against its own table of
-    z^0 .. z^(2^14-1), where lo is the chunk's first m.  A point stops once
-    :func:`_series_tail` from the first m not yet summed is below ``tol / 2``.
-    The rounding term, 1e-14 (1 + |value|), is an allowance and not a
-    certificate.
+    :func:`_series_tail`, runs in chunks of 2^14 terms.  g is the last of the
+    running sums over the inner prefixes k_1 .. k_i of k, each continuing from
+    the one before it and from its own carry, the sum of the chunks before.
+    Per chunk, the row n ** -k of each part k and the running sums of each
+    inner prefix, which depend on neither z nor the index that reads them,
+    are formed once for every index still summing; each point still summing
+    adds z^lo times the sum of its index's row g(m) m^-k_r against its own
+    table of z^0 .. z^(2^14-1), built once per point for every index, where lo
+    is the chunk's first m.  A point stops once :func:`_series_tail` from the
+    first m not yet summed is below ``tol / 2``.  An index whose points have
+    not all stopped after :data:`LI_TERM_CAP` terms gets a
+    :class:`~mzvkit.errors.CapExceededError` naming its first such point,
+    and stops; the others sum on.  Every index thus runs the chunks, stopping
+    rule and arithmetic of its own pass, so that its floats equal those of
+    its :func:`li_value` call.  The rounding term, 1e-14 (1 + |value|), is an
+    allowance and not a certificate.
+
+    Returns, by index, one :class:`Real` per point, or the error; the empty
+    index is 1 at every point.
     """
     chunk = 1 << 14
-    q = len(parts) - 1
     tables = [_power_table(z, chunk) for z in zs]
-    totals = [0.0] * len(zs)
-    tails = [0.0] * len(zs)
-    running = list(range(len(zs)))
-    carries = [0.0] * q
+    sums = [_LiSum(parts, len(zs)) for parts in dict.fromkeys(indices)]
+    carries: dict[tuple[int, ...], float] = {}  # by inner prefix, its running sum over the chunks before
     lo = 1
-    while running:
+    while summing := [s for s in sums if s.running]:
         n = np.arange(lo, lo + chunk, dtype=np.float64)
-        inverse = {part: n ** float(-part) for part in set(parts)}
-        g = np.ones_like(n)
-        for i, part in enumerate(parts[:-1]):
-            term = g * inverse[part]
+        inverse = _li_powers(n, {part for s in summing for part in s.parts})
+        # every inner prefix sorts after its own prefixes, so the row it continues is formed first
+        g = {(): np.ones_like(n)}
+        for prefix in sorted({s.parts[:i] for s in summing for i in range(1, len(s.parts))}):
+            term = g[prefix[:-1]] * inverse[prefix[-1]]
             csum = np.cumsum(term)
-            g = carries[i] + csum - term
-            carries[i] += float(csum[-1])
-        row = g * inverse[parts[-1]]
-        for j in running:
-            totals[j] += zs[j] ** lo * float(np.sum(tables[j] * row))
+            carry = carries.get(prefix, 0.0)
+            g[prefix] = carry + csum - term
+            carries[prefix] = carry + float(csum[-1])
+        for s in summing:
+            row = g[s.parts[:-1]] * inverse[s.parts[-1]]
+            for j in s.running:
+                s.totals[j] += zs[j] ** lo * float(np.sum(tables[j] * row))
         lo += chunk
-        for j in running:
-            tails[j] = _series_tail(parts, zs[j], lo)
-        running = [j for j in running if not tails[j] < tol / 2.0]
-        if running and lo - 1 > LI_TERM_CAP:
-            raise CapExceededError(
-                f"series for z={zs[running[0]]} did not reach tolerance {tol} within {lo - 1} terms"
-            )
-    return [Real(total, tail + 1e-14 * (1.0 + abs(total))) for total, tail in zip(totals, tails)]
+        for s in summing:
+            for j in s.running:
+                s.tails[j] = _series_tail(s.parts, zs[j], lo)
+            s.running = [j for j in s.running if not s.tails[j] < tol / 2.0]
+            if s.running and lo - 1 > LI_TERM_CAP:
+                s.error = CapExceededError(
+                    f"series for z={zs[s.running[0]]} did not reach tolerance {tol} within {lo - 1} terms"
+                )
+                s.running = []
+    return {s.parts: s.result() for s in sums}
+
+
+def _li_powers(n: np.ndarray, parts: Iterable[int]) -> dict[int, np.ndarray]:
+    """The row n ** -k of a chunk of :func:`_li_series`, for each part k."""
+    return {part: n ** float(-part) for part in parts}
 
 
 def _power_table(z: float, size: int) -> np.ndarray:
@@ -515,12 +571,37 @@ def walk_words_f(words: Iterable[Word], ns: Sequence[int], variant: str = "plain
         tables = [known[n] for n in group]
         missing = {w: word_chain(w, variant).steps for w in words if any(w not in table for table in tables)}
         if missing:
-            walk = ChainWalk(FloatRows(group, _exponents(missing.values())))
-            walk.walk(missing.values())
-            for w, steps in missing.items():
-                for table, value in zip(tables, walk.sums[steps]):
-                    table[w] = value
+            _walk_f(missing, group, tables)
     return [known[n] for n in ns]
+
+
+def _walk_f(chains: dict, group: Sequence[int], tables: Sequence[dict]) -> None:
+    """One walk over the sorted grid ``group``: the sum of each chain, steps by key, into the table of each N of it.
+
+    The walk runs at the grid's largest N; a grid of more than one N is for
+    chains with no (N - n) ** -a weight (see :class:`FloatRows`).
+    """
+    walk = ChainWalk(FloatRows(group, _exponents(chains.values())))
+    walk.walk(chains.values())
+    for key, steps in chains.items():
+        for table, value in zip(tables, walk.sums[steps]):
+            table[key] = value
+
+
+def walk_chains_f(chains: Iterable[ConstraintChain], ns: Sequence[int]) -> dict[ConstraintChain, list[float]]:
+    """The float sum of each chain at each N of ``ns``, in one walk per N over the prefix trie of them all.
+
+    Any chain may have (N - n) ** -a weights, as the R sums do, so every N
+    takes a walk of its own; each float equals that of :func:`chain_value_f`
+    at its N.  Nothing outlives the call.
+    """
+    if min(ns, default=1) < 1:
+        raise DomainError("N must be a positive integer")
+    chains = {chain: chain.steps for chain in chains}
+    tables: list[dict] = [{} for _ in ns]
+    for n, table in zip(ns, tables):
+        _walk_f(chains, (n,), (table,))
+    return {chain: [table[chain] for table in tables] for chain in chains}
 
 
 def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> float | list[float]:

@@ -108,6 +108,20 @@ class TestNaturalSums:
         for n in (2, 7, 12):
             assert zeta_natural(idx(1), n) == zeta_flat(idx(1), n)
 
+    def test_duality_is_exact_at_every_n(self):
+        # n -> N - n reverses a strict chain and swaps its weights 1/n and 1/(N - n), so the natural
+        # sum of a word equals that of its dual (reversed, e0 <-> e1) wherever both are index words
+        checked = skipped = 0
+        for k in indices_up_to_weight(7):
+            dual = Word.from_letters(1 - x for x in reversed(word_of_index(k).letters()))
+            if not dual.in_h1:
+                skipped += 1
+                continue
+            for n in (2, 5, 9, 17):
+                assert zeta_natural(k, n) == zeta_natural(index_of_word(dual), n), (k, n)
+                checked += 1
+        assert (checked, skipped) == (252, 64)
+
     def test_boundary_decomposition_exact(self):
         for k in indices_up_to_weight(4):
             for n in (2, 6, 11, 25):

@@ -18,6 +18,7 @@ from mzvkit.algebra import (
     admissible_indices_up_to,
     harmonic,
     index_of_word,
+    indices_of_weight,
     indices_up_to_weight,
     shuffle,
     word_of_index,
@@ -52,6 +53,7 @@ from mzvkit.numeric import (
     zn_apply_f,
 )
 from mzvkit.regularization import RegPolynomial, z_shuffle_polynomial, z_star_polynomial
+from mzvkit.verification import LI_TOL
 
 from _oracles import chain_value_f_oracle, half_point_oracle, limit_with_error_oracle
 
@@ -85,6 +87,18 @@ class TestMzv:
         # mirror-image identities between high-depth and depth-one indices
         assert abs(mzv(idx(1, 1, 2)).value - math.pi ** 4 / 90) < 1e-12
         assert abs(mzv(idx(1, 1, 1, 1, 2)).value - math.pi ** 6 / 945) < 1e-12
+
+    def test_sum_theorem(self):
+        # the admissible zeta(k) of weight w and depth d sum to zeta(w) (Granville 1997; Zagier)
+        groups = 0
+        for w in range(2, 13):
+            whole = mzv(idx(w))
+            for d in range(1, w):
+                values = [mzv(k) for k in indices_of_weight(w) if k.admissible and k.depth == d]
+                gap = abs(math.fsum(v.value for v in values) - whole.value)
+                assert gap <= math.fsum(v.error_bound for v in values) + whole.error_bound, (w, d)
+                groups += 1
+        assert groups == 66
 
     def test_matches_direct_truncation(self):
         # independent check: direct partial sum plus a crude tail window
@@ -309,6 +323,41 @@ class TestLiGrid:
         for arg in (z, [0.5, z, 0.25]):
             with pytest.raises(CapExceededError, match=rf"z={z!r} .* within 49152 terms"):
                 li_value(idx(2), arg)
+
+
+class TestLiBatch:
+    """One pass of the series for a set of indices gives each index the Reals of its own li_value call."""
+
+    campaign_grid = TestLiGrid.campaign_grid
+    wide_grid = [1.0 - 0.5 ** e for e in range(4, 17)]  # out to z = 1 - 2^-16
+
+    @staticmethod
+    def _floats(reals):
+        return [(r.value, r.error_bound) for r in reals]
+
+    @pytest.mark.parametrize(
+        "weight, zs", [(4, campaign_grid), (2, wide_grid)], ids=["w4-campaign-grid", "w2-to-1-2^-16"]
+    )
+    def test_every_index_gets_the_floats_of_its_own_call(self, weight, zs):
+        indices = indices_up_to_weight(weight, include_empty=True)
+        batch = num._li_series([k.parts for k in indices], zs, LI_TOL)
+        assert list(batch) == [k.parts for k in indices]
+        for k in indices:
+            assert self._floats(batch[k.parts]) == self._floats(li_value(k, zs, LI_TOL)), k
+
+    def test_a_capped_index_fails_alone(self, monkeypatch):
+        # at z = 1 - 2^-14, (1,1,1,1) sums 29 chunks of 2^14 terms, and (1,1,1), (1,2,1) and (2,1,1) 28:
+        # under this cap it fails after its 28th chunk, in the one where they stop, and it is summed first
+        indices = [(1, 1, 1, 1)] + [k.parts for k in indices_up_to_weight(4, include_empty=True)]
+        free = num._li_series(indices, self.campaign_grid, LI_TOL)
+        monkeypatch.setattr(num, "LI_TERM_CAP", (28 << 14) - 1)
+        capped = num._li_series(indices, self.campaign_grid, LI_TOL)
+        with pytest.raises(CapExceededError) as own:
+            li_value(idx(1, 1, 1, 1), self.campaign_grid, LI_TOL)
+        error = capped.pop((1, 1, 1, 1))
+        assert isinstance(error, CapExceededError) and str(error) == str(own.value)
+        assert str(error).startswith("series for z=0.99993896484375 ")
+        assert capped == {parts: free[parts] for parts in capped}
 
 
 class TestEulerGamma:

@@ -10,7 +10,7 @@ import pytest
 
 import mzvkit.numeric as num
 import mzvkit.verification as ver
-from mzvkit.algebra import Index, LinComb, harmonic, index_of_word
+from mzvkit.algebra import Index, LinComb, harmonic, index_of_word, indices_up_to_weight
 from mzvkit.cli import _parse_schedule
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import ConstraintChain
@@ -135,6 +135,25 @@ class TestCampaignsPass:
         monkeypatch.setattr(num, "walk_words_f", slow)
         (report,) = verify_asymp_shuffle(FAST)
         assert calls and report.elapsed_ms >= 50
+
+    # each campaign evaluates before its first case; the first call here is that prologue
+    @pytest.mark.parametrize(
+        "campaign, prologue",
+        [(verify_flat_natural, "walk_words_f"), (verify_lemma_r, "walk_chains_f"), (verify_asymp_li, "_li_series")],
+    )
+    def test_claim_time_covers_the_prologue(self, monkeypatch, cold_tables, campaign, prologue):
+        original = getattr(num, prologue)
+        calls = []
+
+        def slow(*args):
+            if not calls:
+                time.sleep(0.05)
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(num, prologue, slow)
+        first, *_ = campaign(FAST)
+        assert calls and first.elapsed_ms >= 50
 
     def test_asymp_li(self):
         (report,) = verify_asymp_li(FAST)
@@ -324,12 +343,20 @@ class TestSoundness:
         strict=True, raises=AssertionError, reason="a +1e-3 offset still passes prop-flat-natural k=(2)"
     )
     def test_small_offset_fails_flat_natural(self, monkeypatch):
-        original = num.zeta_natural_f
+        original = num.zn_apply_f
         calls = []
-        monkeypatch.setattr(num, "zeta_natural_f", lambda k, n: calls.append(n) or original(k, n) + 1e-3)
+
+        def offset(x, n, variant):
+            values = original(x, n, variant)
+            if variant != "natural":
+                return values
+            calls.append(n)
+            return [value + 1e-3 for value in values]
+
+        monkeypatch.setattr(num, "zn_apply_f", offset)
         (report,) = verify_flat_natural(FAST)
         if not calls:
-            pytest.fail("prop-flat-natural no longer calls zeta_natural_f; the offset measures nothing")
+            pytest.fail("prop-flat-natural no longer reads zn_apply_f's natural sums; the offset measures nothing")
         (case,) = [c for c in report.cases if c.key == "k=(2)"]
         assert not case.passed
 
@@ -362,23 +389,28 @@ class TestSoundness:
     @pytest.mark.parametrize(
         "campaign, evaluator, claims",
         [
-            (verify_flat_natural, "zeta_natural_f", {"prop-flat-natural"}),
-            (verify_lemma_r, "r_value_f", {"lemma-R-ii", "lemma-R-iii"}),
+            (verify_flat_natural, "zn_apply_f", {"prop-flat-natural"}),
+            (verify_lemma_r, "walk_chains_f", {"lemma-R-ii", "lemma-R-iii"}),
             (verify_asymp_shuffle, "zn_apply_f", {"prop-asymp-shuffle"}),
             (verify_asymp_dsr, "zn_apply_f", {"thm-main"}),
             (verify_asymp_h, "zn_apply_f", {"prop-asymp-H"}),
-            (verify_asymp_li, "li_value", {"prop-asymp-Li"}),
+            (verify_asymp_li, "_li_series", {"prop-asymp-Li"}),
         ],
     )
     def test_offset_float_evaluator_fails_every_rate_case(self, monkeypatch, campaign, evaluator, claims):
         original = getattr(num, evaluator)
 
         def shift(value):
+            if isinstance(value, list):  # a grid
+                return [shift(v) for v in value]
+            if isinstance(value, dict):  # the grids of a batch, by chain or index
+                return {key: shift(v) for key, v in value.items()}
             return Real(value.value + 1.0, value.error_bound) if isinstance(value, Real) else value + 1.0
 
         def offset(*args, **kwargs):
             value = original(*args, **kwargs)
-            return [shift(v) for v in value] if isinstance(value, list) else shift(value)  # a grid or one point
+            # prop-flat-natural subtracts its natural sums from its flat ones: only the natural side moves
+            return value if "flat" in args else shift(value)
 
         monkeypatch.setattr(num, evaluator, offset)
         reports = [r for r in campaign(FAST) if r.claim_id in claims]
@@ -388,35 +420,94 @@ class TestSoundness:
             assert rate_cases and not any(c.passed for c in rate_cases), report.claim_id
 
 
+def _float_walks(monkeypatch) -> list:
+    """The float walks made from now on, each with its grid ``ns``, its ``work`` and the ``chains`` it sums."""
+    walks = []
+
+    class Counting(counting_rows(num.FloatRows, Counter())):
+        def __init__(self, ns, exponents):
+            self.work, self.chains = Counter(), []
+            walks.append(self)
+            super().__init__(ns, exponents)
+
+        def total(self, values, chain):
+            self.chains.append(chain)
+            return super().total(values, chain)
+
+    monkeypatch.setattr(num, "FloatRows", Counting)
+    return walks
+
+
+def _trie_work_of_each(walks) -> bool:
+    """Whether each walk formed one row per distinct prefix and one running sum per node with children."""
+    return [(w.work["rows"], w.work["cumulations"]) for w in walks] == [trie_work(w.chains) for w in walks]
+
+
 class TestWordTables:
     """Each campaign walks the distinct chains of all its cases once per N, and the cases read the tables."""
 
     @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
     def test_one_float_walk_per_n(self, monkeypatch, cold_tables, cfg):
-        built, walks = [], []
-
-        class Counting(counting_rows(num.FloatRows, Counter())):
-            def __init__(self, ns, exponents):
-                built.append(tuple(ns))
-                self.work, self.chains = Counter(), []
-                walks.append(self)
-                super().__init__(ns, exponents)
-
-            def total(self, values, chain):
-                self.chains.append(chain)
-                return super().total(values, chain)
-
-        monkeypatch.setattr(num, "FloatRows", Counting)
+        walks = _float_walks(monkeypatch)
         verify_asymp_shuffle(cfg)
-        assert sorted(built) == [(n,) for n in cfg.n_schedule]  # natural chains: one walk per N
+        assert sorted(tuple(w.ns) for w in walks) == [(n,) for n in cfg.n_schedule]  # natural chains: one walk per N
         if cfg == CampaignConfig():
             # 1837 steps in 220 walks before the campaign walked its words at once
             assert sum(walk.work["rows"] for walk in walks) <= 600
-        built.clear()
+        shuffle_walks = len(walks)
         verify_asymp_dsr(cfg)
-        assert built == [cfg.n_schedule]  # plain chains: one walk in all
-        # each walk forms one row per distinct prefix and one running sum per node with children
-        assert [(w.work["rows"], w.work["cumulations"]) for w in walks] == [trie_work(w.chains) for w in walks]
+        assert [tuple(w.ns) for w in walks[shuffle_walks:]] == [cfg.n_schedule]  # plain chains: one walk in all
+        assert _trie_work_of_each(walks)
+
+    def test_flat_natural_walks_once_per_n_and_variant(self, monkeypatch, cold_tables):
+        cfg = CampaignConfig()
+        walks = _float_walks(monkeypatch)
+        (report,) = verify_flat_natural(cfg)
+        assert report.passed
+        # 154 walks of one chain before, 11 N by 2 variants for each of the 7 indices
+        assert sorted(tuple(w.ns) for w in walks) == sorted([(n,) for n in cfg.n_schedule] * 2)
+        assert all(len(w.chains) == len(report.cases) == 7 for w in walks)
+        assert _trie_work_of_each(walks)
+
+    def test_lemma_r_walks_once_per_n(self, monkeypatch):
+        cfg = CampaignConfig()
+        walks = _float_walks(monkeypatch)
+        assert all(r.passed for r in verify_lemma_r(cfg))
+        # 165 walks of one chain before: one per case and N, and the divergence sentinel's own
+        *prologue, limit = walks
+        assert [tuple(w.ns) for w in prologue] == [(n,) for n in cfg.n_schedule]
+        assert all(len(w.chains) == 13 for w in prologue)  # (1;1) is a case of two claims
+        # the limit sentinel, at N = 10^5, stays a walk of its own
+        assert tuple(limit.ns) == (10 ** 5,)
+        assert limit.chains == [ConstraintChain.from_rargs(ver.fs.RArgs.parse("2,1;0,0")).steps]
+        assert _trie_work_of_each(walks)
+
+    def test_asymp_li_forms_each_power_once(self, monkeypatch):
+        cfg = CampaignConfig()
+        zs = [1.0 - 0.5 ** e for e in range(4, 15)]
+        tables, rows = Counter(), []
+        power_table, li_powers = num._power_table, num._li_powers
+        monkeypatch.setattr(num, "_power_table", lambda z, size: tables.update([z]) or power_table(z, size))
+        monkeypatch.setattr(
+            num, "_li_powers", lambda n, parts: rows.append((n[0], sorted(parts))) or li_powers(n, parts)
+        )
+        chunks = {}  # by index, the chunks its own call sums
+        for k in indices_up_to_weight(cfg.max_weight):
+            rows.clear()
+            num.li_value(k, zs, ver.LI_TOL)
+            chunks[k.parts] = len(rows)
+        tables.clear()
+        rows.clear()
+        (report,) = verify_asymp_li(cfg)
+        assert report.passed
+        assert tables == Counter(zs)  # one power table per z: 77 before, one per index and z
+        # each chunk forms the row n ** -k of every part k of an index still summing, once
+        chunk = 1 << 14
+        expected = [
+            (1 + c * chunk, sorted({part for parts, count in chunks.items() if count > c for part in parts}))
+            for c in range(max(chunks.values()))
+        ]
+        assert rows == expected
 
     @pytest.mark.parametrize("cfg", [FAST, CampaignConfig()], ids=["fast", "default"])
     def test_harmonic_walks_each_distinct_prefix_once(self, monkeypatch, cold_tables, cfg):
