@@ -7,7 +7,8 @@ H1; words that additionally end with e0 span the subalgebra H0.  Each
 product is a right recursion on a table of word pairs: the harmonic product
 (Hoffman's quasi-shuffle on the letters z_k = e1 e0^(k-1)) on the last part
 of each word, the shuffle on the last letter.  One bilinear extension takes
-both tables to linear combinations with exact rational coefficients.
+both tables to linear combinations with exact rational coefficients, adding
+integer numerators over one common denominator.
 
 All values here are immutable and all operations are pure; the memoization
 caches behind the two products are ordinary ``lru_cache`` stores, which are
@@ -17,6 +18,7 @@ safe under CPython's GIL (worst case a value is recomputed, never corrupted).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,15 +346,31 @@ def _shuffle_words(a: Word, b: Word) -> WordTable:
     return tuple(sorted(acc.items()))
 
 
+def _numerators(x: LinComb) -> tuple[int, list[tuple[Word, int]]]:
+    """The lcm d of the coefficient denominators of ``x``, and its terms in canonical order with numerators over d."""
+    items = x.items()
+    d = math.lcm(*(c.denominator for _, c in items))
+    return d, [(w, c.numerator * (d // c.denominator)) for w, c in items]
+
+
 def _bilinear(x: LinComb, y: LinComb, table: Callable[[Word, Word], WordTable]) -> LinComb:
-    """The bilinear extension of a product whose word pairs multiply by ``table``."""
-    acc: dict[Word, Fraction] = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            scale = cx * cy
+    """The bilinear extension of a product whose word pairs multiply by ``table``.
+
+    The table's multiplicities are integers, so the products add integer
+    numerators over one denominator, dx * dy, where dx and dy are the lcm
+    of the coefficient denominators of ``x`` and of ``y``.  Each output
+    word forms one ``Fraction``, at the end.
+    """
+    dx, xs = _numerators(x)
+    dy, ys = _numerators(y)
+    acc: dict[Word, int] = {}
+    for wx, nx in xs:
+        for wy, ny in ys:
+            scale = nx * ny
             for word, mult in table(wx, wy):
                 acc[word] = acc.get(word, 0) + scale * mult
-    return LinComb._of_terms({w: c for w, c in acc.items() if c})
+    den = dx * dy
+    return LinComb._of_terms({w: Fraction(c, den) for w, c in acc.items() if c})
 
 
 def harmonic(x: LinComb, y: LinComb) -> LinComb:

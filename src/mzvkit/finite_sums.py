@@ -35,8 +35,10 @@ over one common denominator: with L = lcm(1..N-1), every summand factor
 divides L^(a+b), so each step multiplies by the integer L^(a+b) / ((N-n)^a n^b)
 and a DP value after steps of total exponent w is the numerator over L^w.
 Each chain's sum becomes a Fraction once, at the end, which saves a gcd per
-operation.  The brute-force oracle stays on Fractions, independent of this
-scaling.
+operation.  :func:`zn_apply` adds the terms of a combination the same way:
+integer numerators over one common denominator, which each term's
+denominator is checked against, and one Fraction at the end.  The
+brute-force oracle stays on Fractions, independent of this scaling.
 """
 
 from __future__ import annotations
@@ -377,7 +379,15 @@ def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     """Linear extension of the chosen evaluator to H1 combinations.
 
     The chains missing from the exact table at N, which outlives the call,
-    take one :meth:`ChainWalk.walk`; then every word is read from the table.
+    take one :meth:`ChainWalk.walk`; then every word is read from the table
+    through :func:`evaluate_chain`.  The terms add as integers over one
+    common denominator D and form one ``Fraction``, at the end.  D starts
+    as the lcm of the coefficient denominators times lcm(1..N-1)^w, w the
+    largest weight of a word of ``x``: the chain of a word of weight w has
+    total exponent w in every variant, so the walk's sum has a denominator
+    dividing lcm(1..N-1)^w.  Each term's denominator is checked against D
+    all the same, and D grows by the missing factor of one that does not
+    divide it, so that a sum the table got from elsewhere still adds exactly.
     """
     variant_chain(variant)  # an unknown variant raises, also for no words
     if N < 1:
@@ -385,10 +395,18 @@ def zn_apply(x: LinComb, N: int, variant: str = "plain") -> Fraction:
     terms = [(word_chain(w, variant), c) for w, c in x.items()]
     walk = ChainWalk(IntegerRows(N), _chain_sums(N))
     walk.walk(chain.steps for chain, _ in terms)
-    total = Fraction(0)
+    weight = max((w.length for w, _ in x.items()), default=0)
+    den = math.lcm(*(c.denominator for _, c in terms)) * walk.rows.lcm ** weight
+    acc = 0
     for chain, c in terms:
-        total += c * evaluate_chain(chain, N, walk)
-    return total
+        value = evaluate_chain(chain, N, walk)
+        term_den = c.denominator * value.denominator
+        scale, rest = divmod(den, term_den)
+        if rest:
+            grow = term_den // math.gcd(den, term_den)
+            den, acc, scale = den * grow, acc * grow, den * grow // term_den
+        acc += c.numerator * value.numerator * scale
+    return Fraction(acc, den)
 
 
 def diagonal_terms(k: Index, l: Index, N: int) -> Fraction:

@@ -3,12 +3,13 @@
 Each identity or estimate in the double-shuffle story is pinned to a claim id
 and an executable campaign; exact statements are checked with rational
 arithmetic, asymptotic ones through residual schedules and log-rate fits.
-Every rate campaign evaluates before its first case, and its cases only
-read and fit.  fact-harmonic-product, prop-flat-natural, prop-asymp-shuffle,
-thm-main and prop-asymp-H build the combinations of all their cases first
-and walk the union of their words once per N (:func:`mzvkit.finite_sums.walk_words`,
-:func:`mzvkit.numeric.walk_words_f`, prop-flat-natural once per variant);
-the cases then read those sums through the same ``zn_apply`` and
+Every campaign that reads finite sums evaluates them before its first
+case, and its cases only read, compare and fit.  thm-msw,
+fact-harmonic-product, prop-flat-natural, prop-asymp-shuffle, thm-main and
+prop-asymp-H build the combinations of all their cases first and walk the
+union of their words once per N (:func:`mzvkit.finite_sums.walk_words`,
+:func:`mzvkit.numeric.walk_words_f`; thm-msw and prop-flat-natural once per
+variant); the cases then read those sums through the same ``zn_apply`` and
 ``zn_apply_f`` calls as a case on its own would.  lemma-R walks the
 distinct chains of its three claims once per N
 (:func:`mzvkit.numeric.walk_chains_f`), and prop-asymp-Li sums the
@@ -250,17 +251,26 @@ def _random_index(rng: random.Random, max_weight: int) -> Index:
 
 
 def verify_msw(cfg: CampaignConfig) -> list[Report]:
-    """Exact equality of the plain and discretized truncated sums."""
-    n_values = [n for n in cfg.n_schedule if n <= MSW_N_CAP]  # none: the claim fails with 0 cases
-    indices = [k for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
-    items = [(k, n) for k in indices for n in n_values]
+    """Exact equality of the plain and discretized truncated sums.
 
-    def check(item: tuple[Index, int]) -> Case:
-        k, n = item
-        return _exact_case(f"k=({k});N={n:06d}", {"index": str(k), "N": n}, fs.zeta_lt(k, n), fs.zeta_flat(k, n))
+    Every index's word takes one walk per N and variant before the first
+    case, and the cases read both sums from the exact tables."""
+    started = time.perf_counter()
+    n_values = [n for n in cfg.n_schedule if n <= MSW_N_CAP]  # none: the claim fails with 0 cases
+    indices = [(k, LinComb.of_index(k)) for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
+    words = _words(x for _, x in indices)
+    for n in n_values:
+        for variant in ("plain", "flat"):
+            fs.walk_words(words, n, variant)
+    items = [(k, x, n) for k, x in indices for n in n_values]
+
+    def check(item: tuple[Index, LinComb, int]) -> Case:
+        k, x, n = item
+        inputs = {"index": str(k), "N": n}
+        return _exact_case(f"k=({k});N={n:06d}", inputs, fs.zn_apply(x, n, "plain"), fs.zn_apply(x, n, "flat"))
 
     params = {"maxWeight": cfg.msw_max_weight, "nValues": n_values, "indexCount": len(indices)}
-    return [_report(cfg, "thm-msw", params, check, items)]
+    return [_report(cfg, "thm-msw", params, check, items, started=started)]
 
 
 def verify_harmonic(cfg: CampaignConfig) -> list[Report]:

@@ -44,6 +44,22 @@ h1_combs = st.builds(
     lambda pairs: LinComb((word_of_index(k), Fraction(c)) for k, c in pairs),
     st.lists(st.tuples(small_indices, st.integers(-3, 3)), max_size=3),
 )
+# coefficients p/q with mixed signs and denominators up to 12; an empty list is the zero combination
+rationals = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+rational_h1_combs = st.builds(
+    lambda pairs: LinComb((word_of_index(k), c) for k, c in pairs),
+    st.lists(st.tuples(small_indices, rationals), max_size=3),
+)
+rational_combs = st.builds(LinComb, st.lists(st.tuples(words, rationals), max_size=3))
+
+
+def bilinear_oracle(x, y, product_of_words):
+    """The sum of cx * cy * (wx times wy) over the terms of x and y, one oracle product per word pair."""
+    acc = LinComb.zero()
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            acc = acc + product_of_words(wx, wy) * (cx * cy)
+    return acc
 
 
 class TestWordsAndIndices:
@@ -174,6 +190,44 @@ class TestLinComb:
             assert z._items is None
             assert z.items() == tuple(sorted(z._terms.items(), key=lambda it: (len(str(it[0])), str(it[0]))))
             assert z.items() is z.items()
+
+
+class TestRationalCoefficients:
+    """The products add integer numerators over one denominator; they must equal the term-by-term rational sum."""
+
+    @given(rational_h1_combs, rational_h1_combs)
+    @settings(max_examples=60, deadline=None)
+    def test_harmonic_is_the_bilinear_quasi_shuffle(self, x, y):
+        def oracle(a, b):
+            return comb_from_parts(quasi_shuffle_oracle(index_of_word(a).parts, index_of_word(b).parts))
+
+        assert harmonic(x, y) == bilinear_oracle(x, y, oracle)
+
+    @given(rational_combs, rational_combs)
+    @settings(max_examples=60, deadline=None)
+    def test_shuffle_is_the_bilinear_interleaving(self, x, y):
+        def oracle(a, b):
+            return comb_from_letters(shuffle_oracle(a.letters(), b.letters()))
+
+        assert shuffle(x, y) == bilinear_oracle(x, y, oracle)
+
+    def test_cancellation_and_empty_operands(self):
+        a, b, c = (Word.parse(t) for t in ("10", "01", "1"))
+        x = LinComb([(a, Fraction(1, 2)), (b, Fraction(-1, 2))])
+        y = LinComb.of_word(c, Fraction(2, 3))
+        # 10 sh 1 and 01 sh 1 share the word 101, whose coefficient cancels
+        partial = shuffle(x, y)
+        assert partial == comb_from_letters({(1, 1, 0): 2, (0, 1, 1): -2}) * Fraction(1, 3)
+        assert Word.parse("101") not in partial.support()
+        # neither product has zero divisors, so a table that sends every pair to one word
+        # makes the terms of x cancel in full
+        full = algebra._bilinear(x, y, lambda u, v: ((EMPTY_WORD, 1),))
+        assert full == LinComb.zero() and not full._terms
+        assert all(isinstance(k, Fraction) and k != 0 for k in partial._terms.values())
+        z = LinComb([(word_of_index(idx(1, 2)), Fraction(-5, 12)), (word_of_index(idx(3)), Fraction(7, 4))])
+        for product in (harmonic, shuffle):
+            assert product(z, LinComb.zero()) == product(LinComb.zero(), z) == LinComb.zero()
+            assert product(z, LinComb.unit()) == product(LinComb.unit(), z) == z
 
 
 class TestHarmonicProduct:

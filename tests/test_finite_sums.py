@@ -16,6 +16,7 @@ from mzvkit.algebra import (
     word_of_index,
 )
 from mzvkit.errors import CapExceededError, DomainError
+import mzvkit.finite_sums as fs
 from mzvkit.finite_sums import (
     ChainWalk,
     ConstraintChain,
@@ -28,6 +29,7 @@ from mzvkit.finite_sums import (
     diagonal_terms,
     evaluate_chain,
     r_value,
+    word_chain,
     zeta_flat,
     zeta_lt,
     zeta_natural,
@@ -122,6 +124,25 @@ class TestNaturalSums:
                 checked += 1
         assert (checked, skipped) == (252, 64)
 
+    def test_flat_sums_are_not_duality_invariant(self):
+        # the flat chain's non-strict e0 steps break the symmetry n -> N - n, which pins the
+        # letter -> step map of both variants: of the 28 pairs of distinct dual index words of
+        # weight <= 7, the flat sums differ for 5 at N = 2 ((k) and (1^(k-2),2), k = 3..7) and
+        # for all 28 at N = 5, 9 and 17; the natural sums differ for none
+        pairs = set()
+        for k in indices_up_to_weight(7):
+            word = word_of_index(k)
+            dual = Word.from_letters(1 - x for x in reversed(word.letters()))
+            if dual.in_h1 and dual != word:
+                pairs.add(tuple(sorted((word, dual))))
+        assert len(pairs) == 28
+
+        def differing(evaluate, n):
+            return sum(evaluate(index_of_word(u), n) != evaluate(index_of_word(v), n) for u, v in pairs)
+
+        assert {n: differing(zeta_flat, n) for n in (2, 5, 9, 17)} == {2: 5, 5: 28, 9: 28, 17: 28}
+        assert {n: differing(zeta_natural, n) for n in (2, 5, 9, 17)} == {2: 0, 5: 0, 9: 0, 17: 0}
+
     def test_boundary_decomposition_exact(self):
         for k in indices_up_to_weight(4):
             for n in (2, 6, 11, 25):
@@ -201,6 +222,52 @@ class TestLinearMaps:
             Fraction(0),
         )
         assert zn_apply(product, n, variant) == expected
+
+    # words of weight 0..5 with coefficients p/q, mixed signs and denominators up to 12
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(indices_up_to_weight(5, include_empty=True)),
+                st.integers(-12, 12).filter(bool),
+                st.integers(1, 12),
+            ),
+            max_size=5,
+        ),
+        st.sampled_from(["plain", "flat", "natural"]),
+        st.sampled_from([2, 5, 9, 17]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_sum_equals_the_fraction_sum(self, terms, variant, n):
+        x = LinComb((word_of_index(k), Fraction(p, q)) for k, p, q in terms)
+        termwise = sum((c * evaluate_chain(word_chain(w, variant), n) for w, c in x.items()), Fraction(0))
+        assert zn_apply(x, n, variant) == termwise
+        oracle = sum((c * brute_force(index_of_word(w), n, kind=variant) for w, c in x.items()), Fraction(0))
+        assert termwise == oracle
+
+    def test_a_table_sum_off_the_common_denominator_adds_exactly(self):
+        # the common denominator is checked, not assumed: a sum whose denominator does not divide
+        # lcm(1..8)^w, read after a lighter word's, must still add exactly
+        x = LinComb(
+            [
+                (word_of_index(idx()), Fraction(3, 7)),
+                (word_of_index(idx(2)), Fraction(-5, 4)),
+                (word_of_index(idx(1, 2)), Fraction(1, 3)),
+                (word_of_index(idx(2, 1)), Fraction(2, 9)),
+            ]
+        )
+        n, off = 9, word_chain(word_of_index(idx(1, 2)), "plain").steps
+        fs._chain_sums.cache_clear()
+        try:
+            fs.walk_words(x.support(), n)
+            table = fs._chain_sums(n)
+            table[off] += Fraction(1, 1000003)  # a prime above every n < 9
+            expected = sum((c * table[word_chain(w, "plain").steps] for w, c in x.items()), Fraction(0))
+            assert zn_apply(x, n) == expected
+            assert zn_apply(x, n) - Fraction(1, 3 * 1000003) == sum(
+                (c * brute_force(index_of_word(w), n) for w, c in x.items()), Fraction(0)
+            )
+        finally:
+            fs._chain_sums.cache_clear()
 
     def test_walk_takes_one_step_per_distinct_prefix(self):
         x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))

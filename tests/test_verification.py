@@ -10,7 +10,15 @@ import pytest
 
 import mzvkit.numeric as num
 import mzvkit.verification as ver
-from mzvkit.algebra import Index, LinComb, harmonic, index_of_word, indices_up_to_weight
+from mzvkit.algebra import (
+    Index,
+    LinComb,
+    harmonic,
+    index_of_word,
+    indices_of_weight,
+    indices_up_to_weight,
+    word_of_index,
+)
 from mzvkit.cli import _parse_schedule
 from mzvkit.errors import CapExceededError, DomainError
 from mzvkit.finite_sums import ConstraintChain
@@ -213,20 +221,20 @@ class TestCampaignsPass:
 
 
 class TestSoundness:
-    def test_corrupted_flat_sum_fails_msw(self, monkeypatch):
-        original = ver.fs.zeta_flat
+    def test_corrupted_flat_sum_fails_msw(self, monkeypatch, cold_tables):
+        # thm-msw reads its flat sums from the exact table that its walks fill
+        original = ver.fs.walk_words
+        corrupted = ConstraintChain.flat(Index((1, 2))).steps
 
-        def corrupted(k, n):
-            value = original(k, n)
-            if k.parts == (1, 2) and n == 16:
-                return value + Fraction(1, 10 ** 9)
-            return value
+        def offset(words, N, variant="plain"):
+            original(words, N, variant)
+            if variant == "flat" and N == 16:
+                ver.fs._chain_sums(N)[corrupted] += Fraction(1, 10 ** 9)
 
-        monkeypatch.setattr(ver.fs, "zeta_flat", corrupted)
+        monkeypatch.setattr(ver.fs, "walk_words", offset)
         (report,) = verify_msw(FAST)
         assert not report.passed
-        bad = [c for c in report.cases if not c.passed]
-        assert bad and all("1,2" in c.inputs["index"] for c in bad)
+        assert [c.key for c in report.cases if not c.passed] == ["k=(1,2);N=000016"]
 
     def test_corrupted_product_fails_harmonic(self, monkeypatch):
         original = ver.harmonic
@@ -526,7 +534,43 @@ class TestWordTables:
             assert work["rows"] <= 330  # 1190 steps when each call walked its own words
 
     @pytest.mark.parametrize(
-        "campaign", [verify_harmonic, verify_asymp_shuffle, verify_asymp_dsr, verify_asymp_h]
+        "cfg", [FAST, CampaignConfig(), replace(FAST, n_schedule=(100, 200, 400, 800, 1600))],
+        ids=["fast", "default", "past-the-cap"],
+    )
+    def test_msw_walks_once_per_n_and_variant(self, monkeypatch, cold_tables, cfg):
+        work, walks, case_work = Counter(), [], []
+        monkeypatch.setattr(ver.fs, "IntegerRows", counting_rows(ver.fs.IntegerRows, work))
+        walk_words, zn_apply = ver.fs.walk_words, ver.fs.zn_apply
+
+        def walk(words, N, variant="plain"):
+            walks.append((N, variant))
+            walk_words(words, N, variant)
+
+        def read(x, N, variant="plain"):
+            before = Counter(work)
+            value = zn_apply(x, N, variant)
+            case_work.append(work - before)
+            return value
+
+        monkeypatch.setattr(ver.fs, "walk_words", walk)
+        monkeypatch.setattr(ver.fs, "zn_apply", read)
+        (report,) = verify_msw(cfg)
+        n_values = [n for n in cfg.n_schedule if n <= ver.MSW_N_CAP]
+        assert walks == [(n, variant) for n in n_values for variant in ("plain", "flat")]
+        assert len(case_work) == 2 * len(report.cases) and not any(case_work)  # no DP step inside a case
+        indices = [k for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
+        expected = Counter()
+        for variant in ("plain", "flat"):
+            rows, nodes = trie_work({ver.fs.word_chain(word_of_index(k), variant).steps for k in indices})
+            expected.update(rows=rows * len(n_values), cumulations=nodes * len(n_values))
+        assert work == +expected  # one row per distinct prefix, per (N, variant)
+        if n_values:
+            assert report.passed and len(report.cases) == len(indices) * len(n_values)
+        else:  # nothing under the cap: nothing walked, and the claim fails with 0 cases
+            assert not walks and not work and not report.cases and not report.passed
+
+    @pytest.mark.parametrize(
+        "campaign", [verify_msw, verify_harmonic, verify_asymp_shuffle, verify_asymp_dsr, verify_asymp_h]
     )
     def test_warm_tables_give_the_bytes_of_a_cold_run(self, cold_tables, campaign):
         cold = [r.to_json() for r in campaign(FAST)]
