@@ -6,16 +6,15 @@ variable is strict or non-strict, and the summand factor is
 1 / ((N - n)^a * n^b).  The flat and natural chains of an index are read off
 the letters of its word, one step per letter.  Prefix sums give O(k * N)
 operations instead of the naive O(N^k) enumeration.  :class:`ChainWalk` is
-that DP, once, for a sequence of chains: each chain continues from the prefix
-it shares with the one before, so chains in sorted order walk their prefix
-trie, each distinct prefix costs one step, each trie node with children
-forms the running sums of its row once for all of them, and only the rows of
-the current path are held.  The walk remembers the sum of every chain it
-walks, in a table it is given or in one of its own; :meth:`ChainWalk.walk`
-walks a chain set's missing chains in sorted order.  It is generic over its
-arithmetic; :class:`IntegerRows` here and :class:`mzvkit.numeric.FloatRows`
-are the two.  :func:`evaluate_chain` evaluates one chain in a walk of its own
-or in one it is given.
+that DP, once, for a set of chains: :meth:`ChainWalk.walk` walks the prefix
+trie of the chains missing from its table depth first, so each distinct
+prefix costs one step, each trie node with children forms the running sums
+of its row once for all of them, and only the rows of the current path are
+held.  The walk remembers the sum of every chain it walks, in a table it is
+given or in one of its own.  It is generic over its arithmetic;
+:class:`IntegerRows` here and :class:`mzvkit.numeric.FloatRows` are the two.
+:func:`evaluate_chain` reads one chain from the table of a walk it is given,
+or walks it on its own.
 
 :func:`walk_words` walks the chains of a word set missing from a table of
 exact chain sums per N that lives across calls, so that a campaign walks each
@@ -209,27 +208,24 @@ class IntegerRows:
 
 
 class ChainWalk:
-    """The prefix-sum DP of a sequence of chains, sharing the work of common prefixes.
+    """The prefix-sum DP of a set of chains, walked depth first along their prefix trie.
 
-    Each chain continues from the longest prefix it shares with the chain
-    before it, so chains taken in sorted order walk their prefix trie: each
-    distinct prefix forms its row once, and only the rows of the current path
-    are kept.  :meth:`walk` knows the children each trie node has left to
-    walk, so that each node with children forms the running sums of its row
-    once.  A node with one child left takes ``rows.step``, which sums on the
-    fly into the child's row; a node with more sums its row once for all of
-    them.  Past the first step the sums overwrite the node's row, after its
-    own total has been read, as in sorted order a chain comes before the
-    chains that extend it; a chain asked for after that forms its row again.
-    The first step's row is a weight row, which other steps share, so its
-    sums take an array of their own, dropped once its last child is formed.
-    Outside :meth:`walk` a step takes ``rows.step``, unless a walk has left
-    its parent's running sums on the path.
+    :meth:`walk` forms one row per distinct prefix, each from its parent's
+    row and its own step, and reads each chain's total from its row before
+    the row serves a child.  A trie node with one child passes its row to
+    ``rows.step``, which sums on the fly into the child's row; a node with
+    more forms its running sums once with ``rows.cumulate``, and each child
+    takes ``rows.weigh`` on them.  Siblings are walked in sorted order, so
+    the totals are read in the sorted order of the chains.  The walk is
+    iterative, with one frame per node that has children left, so a chain
+    may be deeper than Python's recursion limit.  The first step's row is a
+    weight row, which other steps share, so its running sums take an array
+    of their own, dropped with the frame once its last child is formed.
 
     ``rows`` is the arithmetic, with the interface of :class:`IntegerRows`;
     :class:`mzvkit.numeric.FloatRows` is the float64 one, which writes the
-    rows of each walk level into one buffer.  Each weight row is built once
-    per exponent pair.
+    rows of each level, a step's index in its chain, into one buffer.  Each
+    weight row is built once per exponent pair.
 
     The walk remembers the sum of every chain it walks in ``sums``, a dict
     keyed by steps, and reads a chain found there instead of walking it.
@@ -241,64 +237,58 @@ class ChainWalk:
         self.rows = rows
         self.sums = {} if sums is None else sums
         self._weights: dict = {}  # weight rows by exponent pair
-        self._steps: tuple[Step, ...] = ()  # the chain of the current path
-        self._path: list = []  # _path[i]: the row after the first i + 1 steps of _steps, or its running sums
-        self._summed: list[bool] = []  # _summed[i]: _path[i] holds running sums
-        self._last_child: dict = {}  # prefix -> the last step after it that :meth:`walk` will take
 
     def value(self, steps: tuple[Step, ...]):
-        """The sum of the chain with these steps."""
-        known = self.sums.get(steps)
-        if known is not None:
-            return known
-        rows, path, summed, previous, ahead = self.rows, self._path, self._summed, self._steps, self._last_child
-        shared = 0
-        while shared < min(len(previous), len(steps)) and previous[shared] == steps[shared]:
-            shared += 1
-        if shared == len(steps) and shared and summed[shared - 1]:
-            shared -= 1  # the chain's last row was summed for a chain that extends it
-        del path[shared:], summed[shared:]
-        for level in range(shared, len(steps)):
-            strict, a, b = steps[level]
-            weights = self._weights.get((a, b))
-            if weights is None:
-                weights = self._weights[a, b] = rows.weights(a, b)
-            if level == 0:
-                row = weights
-            else:
-                # whether the parent has a child to walk after this one; only walk() looks ahead
-                again = bool(ahead) and ahead.get(steps[:level], steps[level]) != steps[level]
-                if summed[-1] or again:
-                    if not summed[-1]:
-                        path[-1], summed[-1] = rows.cumulate(path[-1], level - 1), True
-                    row = rows.weigh(weights, path[-1], strict, level)
-                    if level == 1 and not again:  # the first step's own array of running sums is done with
-                        path[0], summed[0] = self._weights[steps[0].a, steps[0].b], False
-                else:
-                    row = rows.step(weights, path[-1], strict, level)
-            path.append(row)
-            summed.append(False)
-        self._steps = steps
-        total = self.sums[steps] = rows.total(path[-1], steps) if steps else rows.one
+        """The sum of the chain with these steps: read from ``sums``, or walked on its own."""
+        total = self.sums.get(steps)
+        if total is None:
+            self.walk((steps,))
+            total = self.sums[steps]
         return total
 
     def walk(self, chains: Iterable[tuple[Step, ...]]) -> None:
-        """Walk the chains with these steps that are missing from ``sums``, in sorted order: along their prefix trie."""
-        todo = sorted({steps for steps in chains if steps not in self.sums})
-        self._last_child = {steps[:i]: steps[i] for steps in todo for i in range(1, len(steps))}
-        for steps in todo:
-            self.value(steps)
-        self._last_child = {}
+        """Walk the chains with these steps that are missing from ``sums``, depth first along their prefix trie."""
+        rows = self.rows
+        trie: dict = {}  # step -> [the chain that ends there, or None; the subtrie below it]
+        for steps in chains:
+            if steps in self.sums:
+                continue
+            if not steps:
+                self.sums[steps] = rows.one
+                continue
+            node = trie
+            for step in steps:
+                entry = node.setdefault(step, [None, {}])
+                node = entry[1]
+            entry[0] = steps
+        # a frame: the level of a node's children, those left to walk (the next one last), their source and its form
+        stack = [(0, sorted(trie.items(), reverse=True), None, None)] if trie else []
+        while stack:
+            level, children, source, form = stack[-1]
+            (strict, a, b), (chain, below) = children.pop()
+            if not children:
+                stack.pop()
+            weights = self._weights.get((a, b))
+            if weights is None:
+                weights = self._weights[a, b] = rows.weights(a, b)
+            row = form(weights, source, strict, level) if level else weights
+            del source  # after its last child, a first step's own running sums die here
+            if chain is not None:
+                self.sums[chain] = rows.total(row, chain)
+            if len(below) == 1:
+                stack.append((level + 1, list(below.items()), row, rows.step))
+            elif below:
+                stack.append((level + 1, sorted(below.items(), reverse=True), rows.cumulate(row, level), rows.weigh))
 
 
 def evaluate_chain(chain: ConstraintChain, N: int, walk: ChainWalk | None = None) -> Fraction:
     """Exact chain sum over 0 < n_1 R n_2 R ... R n_k < N by prefix-sum DP,
     on integer numerators over powers of lcm(1..N-1).
 
-    ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, continues from the
-    chains evaluated in it before and reads a chain already in its table;
-    :func:`zn_apply` reads all its words through one.  A walk at another N
-    raises DomainError.
+    ``walk``, a :class:`ChainWalk` over ``IntegerRows(N)``, reads a chain
+    already in its table and walks any other on its own; :func:`zn_apply`
+    reads all its words through one, after walking them together.  A walk at
+    another N raises DomainError.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -364,7 +354,7 @@ def _chain_sums(N: int) -> dict[tuple[Step, ...], Fraction]:
 
 
 def walk_words(words: Iterable[Word], N: int, variant: str = "plain") -> None:
-    """Walk the chains of ``words`` missing from the exact table at N into it, in one sorted walk.
+    """Walk the chains of ``words`` missing from the exact table at N into it, in one walk.
 
     :func:`zn_apply` at N then reads these words from the table.  Every word
     must lie in H1; an unknown variant raises DomainError.

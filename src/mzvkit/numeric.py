@@ -11,8 +11,8 @@ term is an allowance, not a certificate), the float64 arithmetic of the
 chain DP for large N (where exact rationals are hopeless), and the log-rate
 fitter that turns O(N^-1 log^a N) claims into checkable statements.
 
-The float chain sums run the same prefix-trie walk as the exact ones
-(:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).  A walk
+The float chain sums run the same depth-first prefix-trie walk as the exact
+ones (:class:`mzvkit.finite_sums.ChainWalk` over :class:`FloatRows`).  A walk
 runs at the largest N of a grid and reads each chain's sum at every N of it:
 plain chains, whose rows at N are prefixes of their rows at any larger N,
 take one walk for a whole grid, and flat and natural chains, whose
@@ -449,12 +449,13 @@ class FloatRows:
     walk still works after a later one has trimmed the shared tables.
 
     The walk forms one row per distinct prefix and the running sums of each
-    trie node with children once.  Every row of a walk level is written into
-    that level's buffer, made at its first use, and a node's running sums
-    overwrite its row.  A first step's row is a weight row, so its running
-    sums take an array of their own, the only one beyond the level buffers,
-    which :class:`~mzvkit.finite_sums.ChainWalk` keeps only while that step
-    has a child left to walk.
+    trie node with children once.  Every row of a walk level, the index of
+    its step in its chain, is written into that level's buffer, made at its
+    first use, and a node's running sums overwrite its row.  A first step's
+    row is a weight row, so its running sums take an array of their own, the
+    only one beyond the level buffers, which
+    :class:`~mzvkit.finite_sums.ChainWalk` drops once that step's last child
+    is formed.
     """
 
     def __init__(self, ns: Sequence[int], exponents: Iterable[int]) -> None:

@@ -92,7 +92,7 @@ def chain_value_f_oracle(chain: ConstraintChain, N: int) -> float:
 
 
 def trie_work(chains) -> tuple[int, int]:
-    """The rows and the running sums that one sorted walk of these chains forms, one each per trie node.
+    """The rows and the running sums that one walk of these chains forms, one each per trie node.
 
     A row for each distinct prefix past the first step, whose row is a weight
     row, and running sums for each distinct prefix that a longer one extends.

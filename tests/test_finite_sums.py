@@ -35,10 +35,11 @@ from mzvkit.finite_sums import (
     zeta_natural,
     zn_apply,
 )
-from mzvkit.numeric import chain_value_f
+from mzvkit.cli import main
+from mzvkit.numeric import FloatRows, _exponents, chain_value_f, zeta_flat_f, zeta_lt_f, zeta_natural_f
 from mzvkit.verification import CampaignConfig, _shuffle_pairs
 
-from _oracles import counting_rows, trie_work
+from _oracles import chain_value_f_oracle, counting_rows, trie_work
 
 
 def idx(*parts):
@@ -441,9 +442,19 @@ class TestBruteForceOracle:
     def test_walk_over_chain_sets_equals_brute_force(self, chains, n):
         steps = [tuple(Step(pos == 0 or strict, a, b) for pos, (strict, a, b) in enumerate(c)) for c in chains]
         expected = [brute_force(ConstraintChain(c), n) for c in steps]
-        for order in (steps, sorted(steps)):  # any order is correct; sorted order shares the most
+        for order in (steps, sorted(steps)):  # one chain at a time, in any order
             walk = ChainWalk(IntegerRows(n))
             assert [walk.value(c) for c in order] == [expected[steps.index(c)] for c in order]
+        # the whole set in one walk, with repeats and the empty chain: one row and one running sum per trie node
+        work = Counter()
+        walk = ChainWalk(counting_rows(IntegerRows, work)(n))
+        walk.walk(steps + steps[::-1] + [()])
+        assert (work["rows"], work["cumulations"]) == trie_work(steps)
+        assert [walk.sums[c] for c in steps] == expected and walk.sums[()] == 1
+        floats = ChainWalk(FloatRows((n,), _exponents(steps)))
+        floats.walk(steps + [()])
+        assert [floats.sums[c] for c in steps] == [(chain_value_f_oracle(ConstraintChain(c), n),) for c in steps]
+        assert floats.sums[()] == (1.0,)
 
     def test_caps_refuse(self):
         with pytest.raises(CapExceededError):
@@ -511,6 +522,36 @@ class TestChainValidation:
         with pytest.raises(DomainError):
             evaluate_chain(chain, 5, ChainWalk(IntegerRows(9)))
         assert evaluate_chain(chain, 5, ChainWalk(IntegerRows(5))) == Fraction(17, 32)
+
+
+class TestDeepChains:
+    """Chains deeper than Python's recursion limit walk like any other."""
+
+    def test_msw_at_depth_3000(self):
+        k = idx(3000)
+        exact = 1 + Fraction(1, 2 ** 3000)
+        assert zeta_flat(k, 3) == zeta_lt(k, 3) == exact
+        assert zeta_natural(k, 3) == 0
+        assert zeta_flat_f(k, 3) == zeta_lt_f(k, 3) == float(exact)
+        assert zeta_natural_f(k, 3) == 0.0
+
+    def test_one_walk_of_two_chains_sharing_a_deep_prefix(self):
+        chains = [ConstraintChain.flat(idx(3000)).steps, ConstraintChain.flat(idx(2999, 1)).steps]
+        assert len(chains[0]) == len(chains[1]) == 3000 and chains[0][:2999] == chains[1][:2999]
+        exact, floats = ChainWalk(IntegerRows(3)), ChainWalk(FloatRows((3,), _exponents(chains)))
+        exact.walk(chains)
+        floats.walk(chains)
+        for steps in chains:
+            value = evaluate_chain(ConstraintChain(steps), 3)
+            assert exact.sums[steps] == value
+            assert floats.sums[steps] == (float(value),)
+
+    def test_cli_sums_a_deep_flat_chain(self, capsys):
+        printed = {}
+        for kind in ("flat", "plain"):
+            assert main(["sum", "--kind", kind, "3000", "--n", "3"]) == 0
+            printed[kind] = capsys.readouterr().out
+        assert printed["flat"] == printed["plain"]
 
 
 class TestChainsOfWords:

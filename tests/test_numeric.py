@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -533,7 +534,7 @@ class TestFloatTwins:
     )
 
     # a walk of two chains whose shared prefix e1 e1 has both as children, which sums that prefix's
-    # row in place, then the prefix on its own: it must form its row again
+    # row in place, then that prefix asked for on its own, which walks it afresh
     EXTENDED_FIRST = [
         ConstraintChain.flat(idx(1, 2, 1)).steps[:3],
         ConstraintChain.natural(idx(1, 2)).steps,
@@ -564,6 +565,38 @@ class TestFloatTwins:
                 chain = ConstraintChain(steps)
                 assert floats.value(steps) == (chain_value_f_oracle(chain, n),), steps
                 assert exact.value(steps) == fs.evaluate_chain(chain, n), steps
+
+    def test_a_first_steps_running_sums_die_at_its_last_child(self):
+        """A first step's running sums, an array of their own, are dropped once its last child's row is formed."""
+        x, y = LinComb.of_index(idx(1, 2)), LinComb.of_index(idx(2, 1))
+        defect = harmonic(x, y) - shuffle(x, y)
+        chains = {variant_chain(v)(index_of_word(w)).steps for w in defect.support() for v in ("plain", "natural")}
+        chains |= {steps[:1] for steps in chains}
+        last_child: dict = {}
+        for steps in chains:
+            if len(steps) > 1:
+                last_child[steps[0]] = max(last_child.get(steps[0], steps[1]), steps[1])
+        first_sums, under_last, kept = [], [], []
+
+        class Watching(num.FloatRows):
+            def cumulate(self, values, level):
+                sums = super().cumulate(values, level)
+                if level == 0:
+                    first_sums.append(weakref.ref(sums))
+                return sums
+
+            def total(self, values, steps):
+                if len(steps) > 1 and steps[1] == last_child[steps[0]]:
+                    under_last.append(steps)
+                    if any(ref() is not None for ref in first_sums):
+                        kept.append(steps)
+                return super().total(values, steps)
+
+        walk = ChainWalk(Watching((4096,), num._exponents(chains)))
+        walk.walk(chains)
+        assert len(first_sums) > 1 and under_last  # first steps with more than one child, and chains under them
+        assert kept == []
+        assert walk.sums == {steps: (chain_value_f_oracle(ConstraintChain(steps), 4096),) for steps in chains}
 
     def test_memo_keeps_variants_apart(self):
         x = LinComb.of_index(idx(2))
