@@ -61,7 +61,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -624,18 +624,41 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
     return values[0] if scalar else values
 
 
-def harmonic_number_f(n: int) -> float:
-    """H_n as float64 (n up to a few 10^7).
+def _pairwise_sum(block: Callable[[int, int], np.ndarray], n: int, lo: int = 0) -> float:
+    """The float ``np.sum`` gives for entries ``lo .. lo+n-1``, formed a block at a time.
 
-    The reciprocals overwrite the integers in place, so the sum holds one
-    array of n floats, not two.
+    ``block(a, b)`` forms entries ``a .. b-1`` as a contiguous float64 array.
+    numpy sums such an array by pairwise summation (its ``pairwise_sum``,
+    unchanged since numpy 1.9; ``tests/test_numeric.py`` pins it): a range
+    of more than 128 entries splits at ``n // 2`` rounded down to a multiple
+    of 8, and the two halves are summed the same way and added.  That tree
+    depends only on the range's length, so splitting here by the same rule
+    down to ranges of at most ``2^16`` entries, and handing each to
+    ``np.sum`` whole, makes exactly numpy's additions in numpy's order: the
+    same float, while at most one block of ``2^16`` floats is held at a time.
+    """
+    if n <= 1 << 16:
+        return float(np.sum(block(lo, lo + n)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(block, half, lo) + _pairwise_sum(block, n - half, lo + half)
+
+
+def harmonic_number_f(n: int) -> float:
+    """H_n as float64: bit for bit ``np.sum`` of the n reciprocals ``1/m``.
+
+    The reciprocals are formed and summed in blocks along numpy's own
+    pairwise tree (:func:`_pairwise_sum`), so memory is bounded by one block
+    and time is linear in n.  Each block's reciprocals overwrite its
+    integers in place: one array per block, not two.
     """
     if n < 0:
         raise DomainError("harmonic numbers need n >= 0")
-    if n == 0:
-        return 0.0
-    terms = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.sum(np.divide(1.0, terms, out=terms)))
+
+    def reciprocals(lo: int, hi: int) -> np.ndarray:
+        terms = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        return np.divide(1.0, terms, out=terms)
+
+    return _pairwise_sum(reciprocals, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -383,6 +384,32 @@ class TestEulerGamma:
     def test_in_place_reciprocals_give_the_floats_of_a_second_array(self):
         for n in (1, 2, 10, 10 ** 5 - 1, 10 ** 6 - 1):
             assert harmonic_number_f(n) == float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64))), n
+
+    def test_blocked_sum_gives_the_float_of_one_full_array(self):
+        for n in (2 ** 16 + 1, 3 * 10 ** 6 + 17):
+            assert harmonic_number_f(n) == float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64))), n
+
+    def test_sentinel_runs_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            harmonic_number_f(10 ** 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` follows numpy's own pairwise tree, so a numpy that changes it fails here."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 7, 8, 9, 127, 128, 129, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 13, 3 * 2 ** 16 + 5, 10 ** 6 - 1],
+    )
+    def test_equals_numpy_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        assert num._pairwise_sum(lambda lo, hi: a[lo:hi], len(a)) == float(np.sum(a))
 
 
 class TestEvalRegPolynomial:
