@@ -20,9 +20,12 @@ take one walk for a whole grid, and flat and natural chains, whose
 walks a one-point grid.  The float of each word is kept in a table per
 (N, variant) that lives across calls.  :func:`walk_words_f` walks the words
 of a set missing there, through :meth:`~mzvkit.finite_sums.ChainWalk.walk`,
-once per grid, so that a campaign walks each distinct chain once;
-:func:`zn_apply_f` walks its own missing words through it and reads every
-word from the tables it returns.  The weight rows are slices of one
+once per grid, so that a campaign walks each distinct chain once, and
+returns the tables of its grid.  :func:`zn_read_f` is the one read step: it
+forms a combination's float at each N from such tables, and walks nothing.
+:func:`zn_apply_f` is the two in turn, walking its own missing words; a rate
+campaign keeps the tables of its own walk and reads each case's
+combinations with :func:`zn_read_f` alone.  The weight rows are slices of one
 read-only table of m ** -e per exponent e, shared by every walk:
 n ** -b over n = 1..N-1 is the table's first N - 1 entries and (N - n) ** -a
 the same slice reversed.  A table grows by powering only its new entries,
@@ -605,6 +608,17 @@ def walk_chains_f(chains: Iterable[ConstraintChain], ns: Sequence[int]) -> dict[
     return {chain: [table[chain] for table in tables] for chain in chains}
 
 
+def zn_read_f(x: LinComb, tables: Sequence[dict[Word, float]]) -> list[float]:
+    """The float of ``x`` at each N whose word table, as :func:`walk_words_f` returns it, is in ``tables``.
+
+    It only reads: a word missing from a table raises KeyError.  Each word's
+    float is combined as ``float(c) * value`` in term order, each coefficient
+    converted once, not once per N.
+    """
+    terms = [(w, float(c)) for w, c in x.items()]
+    return [sum(c * table[w] for w, c in terms) for table in tables]
+
+
 def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> float | list[float]:
     """Float64 twin of :func:`mzvkit.finite_sums.zn_apply`.
 
@@ -612,15 +626,13 @@ def zn_apply_f(x: LinComb, N: int | Sequence[int], variant: str = "plain") -> fl
     N.  Each word's float comes from the table of its (N, variant), which
     outlives the call; :func:`walk_words_f` walks the words missing there
     into it and returns the tables, so a word already known at every N costs
-    no chain.  An unknown variant, or a word outside H1 at any N, raises
-    DomainError.
+    no chain, and :func:`zn_read_f` reads ``x`` from them.  An unknown
+    variant, or a word outside H1 at any N, raises DomainError.
     """
     ns, scalar = _grid(N)
     if min(ns, default=1) < 1:
         raise DomainError("N must be a positive integer")
-    terms = [(w, float(c)) for w, c in x.items()]  # each coefficient converted once, not once per N
-    tables = walk_words_f([w for w, _ in terms], ns, variant)
-    values = [sum(c * table[w] for w, c in terms) for table in tables]
+    values = zn_read_f(x, walk_words_f([w for w, _ in x.items()], ns, variant))
     return values[0] if scalar else values
 
 

@@ -9,8 +9,13 @@ fact-harmonic-product, prop-flat-natural, prop-asymp-shuffle, thm-main and
 prop-asymp-H build the combinations of all their cases first and walk the
 union of their words once per N (:func:`mzvkit.finite_sums.walk_words`,
 :func:`mzvkit.numeric.walk_words_f`; thm-msw and prop-flat-natural once per
-variant); the cases then read those sums through the same ``zn_apply`` and
-``zn_apply_f`` calls as a case on its own would.  lemma-R walks the
+variant).  The cases of thm-msw and fact-harmonic-product read those sums
+through the same ``zn_apply`` calls as a case on its own would.  The other
+four keep the tables that ``walk_words_f`` returns, and their cases read
+each combination from them through :func:`mzvkit.numeric.zn_read_f`, the
+read step of ``zn_apply_f``, so that no case walks or scans for missing
+words; prop-asymp-shuffle also checks the exact decomposition of every
+pair at its small N in its prologue, after its exact walk.  lemma-R walks the
 distinct chains of its three claims once per N
 (:func:`mzvkit.numeric.walk_chains_f`), and prop-asymp-Li sums the
 polylogarithm series of all its indices in one pass over its z grid
@@ -301,12 +306,11 @@ def verify_flat_natural(cfg: CampaignConfig) -> list[Report]:
     started = time.perf_counter()
     items = [(k, LinComb.of_index(k)) for k in indices_up_to_weight(cfg.max_weight)]
     words = _words(x for _, x in items)
-    for variant in ("flat", "natural"):
-        num.walk_words_f(words, cfg.n_schedule, variant)
+    tables = [num.walk_words_f(words, cfg.n_schedule, variant) for variant in ("flat", "natural")]
 
     def check(item: tuple[Index, LinComb]) -> Case:
         k, x = item
-        grids = (num.zn_apply_f(x, cfg.n_schedule, variant) for variant in ("flat", "natural"))
+        grids = (num.zn_read_f(x, variant_tables) for variant_tables in tables)
         residuals = [(n, flat - natural) for n, flat, natural in zip(cfg.n_schedule, *grids)]
         return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1)
 
@@ -388,26 +392,33 @@ def _shuffle_exact_n(k: Index, l: Index) -> int:
 
 def verify_asymp_shuffle(cfg: CampaignConfig) -> list[Report]:
     """The strict-chain evaluation satisfies the shuffle product formula up to
-    O(N^-1 log^a N), and exactly up to explicit diagonal terms at small N."""
+    O(N^-1 log^a N), and exactly up to explicit diagonal terms at small N.
+
+    Both sides of every pair's exact decomposition are formed before the
+    first case, and the cases read the float sums of the campaign's walk."""
     started = time.perf_counter()
-    items = []
+    pairs = []
     exact_words: dict[int, set[Word]] = {}
     for k, l in _shuffle_pairs(cfg):
         x, y = LinComb.of_index(k), LinComb.of_index(l)
         combos = (x, y, shuffle(x, y))
-        items.append((k, l, combos))
-        exact_words.setdefault(_shuffle_exact_n(k, l), set()).update(_words(combos))
-    num.walk_words_f(_words(z for *_, combos in items for z in combos), cfg.n_schedule, "natural")
+        n0 = _shuffle_exact_n(k, l)
+        pairs.append((k, l, n0, combos))
+        exact_words.setdefault(n0, set()).update(_words(combos))
+    tables = num.walk_words_f(_words(z for *_, combos in pairs for z in combos), cfg.n_schedule, "natural")
     for n0, words in exact_words.items():
         fs.walk_words(words, n0, "natural")
-
-    def check(item: tuple[Index, Index, tuple[LinComb, LinComb, LinComb]]) -> Case:
-        k, l, (x, y, sh) = item
-        grids = (num.zn_apply_f(z, cfg.n_schedule, "natural") for z in (x, y, sh))
-        residuals = [(n, a * b - c) for n, a, b, c in zip(cfg.n_schedule, *grids)]
-        n0 = _shuffle_exact_n(k, l)
+    items = []
+    for k, l, n0, combos in pairs:
+        x, y, sh = combos
         exact_lhs = fs.zn_apply(x, n0, "natural") * fs.zn_apply(y, n0, "natural")
         exact_rhs = fs.zn_apply(sh, n0, "natural") + fs.diagonal_terms(k, l, n0)
+        items.append((k, l, combos, n0, exact_lhs, exact_rhs))
+
+    def check(item: tuple[Index, Index, tuple[LinComb, LinComb, LinComb], int, Fraction, Fraction]) -> Case:
+        k, l, combos, n0, exact_lhs, exact_rhs = item
+        grids = (num.zn_read_f(z, tables) for z in combos)
+        residuals = [(n, a * b - c) for n, a, b, c in zip(cfg.n_schedule, *grids)]
         exact_ok = exact_lhs == exact_rhs
         return _rate_case(
             f"w1=({k});w0=({l})",
@@ -429,11 +440,11 @@ def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
     """The two products agree under the truncated evaluation up to O(N^-1 log^a N)."""
     started = time.perf_counter()
     items = [(k, l, _defect(k, l)) for k, l in _shuffle_pairs(cfg)]
-    num.walk_words_f(_words(diff for *_, diff in items), cfg.n_schedule, "plain")
+    tables = num.walk_words_f(_words(diff for *_, diff in items), cfg.n_schedule, "plain")
 
     def check(item: tuple[Index, Index, LinComb]) -> Case:
         k, l, diff = item
-        residuals = list(zip(cfg.n_schedule, num.zn_apply_f(diff, cfg.n_schedule, "plain")))
+        residuals = list(zip(cfg.n_schedule, num.zn_read_f(diff, tables)))
         inputs = {"w1": str(k), "w0": str(l)}
         return _rate_case(f"w1=({k});w0=({l})", inputs, residuals, k.weight + l.weight + 1, terms=len(diff))
 
@@ -445,13 +456,13 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
     started = time.perf_counter()
     gamma = num.euler_gamma().value
     items = [(k, LinComb.of_index(k)) for k in indices_up_to_weight(cfg.max_weight, include_empty=True)]
-    num.walk_words_f(_words(x for _, x in items), cfg.n_schedule, "plain")
+    tables = num.walk_words_f(_words(x for _, x in items), cfg.n_schedule, "plain")
     zetas: dict[Word, num.Real] = {}
 
     def check(item: tuple[Index, LinComb]) -> Case:
         k, x = item
         poly = reg.z_star_polynomial(k)
-        values = num.zn_apply_f(x, cfg.n_schedule, "plain")
+        values = num.zn_read_f(x, tables)
         residuals = [
             (n, value - num.eval_reg_polynomial(poly, math.log(n) + gamma, zetas).value)
             for n, value in zip(cfg.n_schedule, values)

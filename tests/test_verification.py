@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -121,14 +122,33 @@ class TestCampaignsPass:
         assert any(c.key == "sentinel-harmonic-gamma" for c in report.cases)
 
     def test_rate_residuals_take_one_grid_call_per_combination(self, monkeypatch):
-        original = num.zn_apply_f
-        calls = []
-        monkeypatch.setattr(num, "zn_apply_f", lambda x, n, variant: calls.append(n) or original(x, n, variant))
-        for campaign, per_case in ((verify_asymp_shuffle, 3), (verify_asymp_h, 1)):
+        # each case reads each combination once from the tables of its campaign's walks, and walks nothing
+        walk, read = num.walk_words_f, num.zn_read_f
+        calls, walked = [], []
+
+        def walk_spy(words, ns, variant):
+            tables = walk(words, ns, variant)
+            walked.append(tables)
+            calls.append(("walk", ns))
+            return tables
+
+        def read_spy(x, tables):
+            calls.append("read" if any(tables is t for t in walked) else "read of other tables")
+            return read(x, tables)
+
+        monkeypatch.setattr(num, "walk_words_f", walk_spy)
+        monkeypatch.setattr(num, "zn_read_f", read_spy)
+        for campaign, walks, per_case in (
+            (verify_flat_natural, 2, 2),
+            (verify_asymp_shuffle, 1, 3),
+            (verify_asymp_dsr, 1, 1),
+            (verify_asymp_h, 1, 1),
+        ):
             calls.clear()
             (report,) = campaign(FAST)
             rate_cases = [c for c in report.cases if "fit" in c.detail]
-            assert rate_cases and calls == [FAST.n_schedule] * (per_case * len(rate_cases)), report.claim_id
+            expected = [("walk", FAST.n_schedule)] * walks + ["read"] * (per_case * len(rate_cases))
+            assert rate_cases and calls == expected, report.claim_id
 
     def test_claim_time_covers_the_walk(self, monkeypatch, cold_tables):
         original = num.walk_words_f
@@ -344,27 +364,28 @@ class TestSoundness:
             assert report.verdict == "fail"
             assert sum(not c.passed for c in report.cases) == 3, report.claim_id
 
-    # fit_log_rate still accepts a small constant residual here (ROADMAP item 2)
+    # fit_log_rate still accepts a small constant residual here (ROADMAP item 3)
     # pytest.fail raises Failed, not AssertionError, so a campaign that stops
     # calling the patched evaluator fails the test instead of xfailing it
     @pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="a +1e-3 offset still passes prop-flat-natural k=(2)"
     )
     def test_small_offset_fails_flat_natural(self, monkeypatch):
-        original = num.zn_apply_f
+        original = num.zn_read_f
+        natural = num._word_value_f(FAST.n_schedule[0], "natural")
         calls = []
 
-        def offset(x, n, variant):
-            values = original(x, n, variant)
-            if variant != "natural":
+        def offset(x, tables):
+            values = original(x, tables)
+            if tables[0] is not natural:
                 return values
-            calls.append(n)
+            calls.append(x)
             return [value + 1e-3 for value in values]
 
-        monkeypatch.setattr(num, "zn_apply_f", offset)
+        monkeypatch.setattr(num, "zn_read_f", offset)
         (report,) = verify_flat_natural(FAST)
         if not calls:
-            pytest.fail("prop-flat-natural no longer reads zn_apply_f's natural sums; the offset measures nothing")
+            pytest.fail("prop-flat-natural no longer reads zn_read_f's natural sums; the offset measures nothing")
         (case,) = [c for c in report.cases if c.key == "k=(2)"]
         assert not case.passed
 
@@ -397,16 +418,17 @@ class TestSoundness:
     @pytest.mark.parametrize(
         "campaign, evaluator, claims",
         [
-            (verify_flat_natural, "zn_apply_f", {"prop-flat-natural"}),
+            (verify_flat_natural, "zn_read_f", {"prop-flat-natural"}),
             (verify_lemma_r, "walk_chains_f", {"lemma-R-ii", "lemma-R-iii"}),
-            (verify_asymp_shuffle, "zn_apply_f", {"prop-asymp-shuffle"}),
-            (verify_asymp_dsr, "zn_apply_f", {"thm-main"}),
-            (verify_asymp_h, "zn_apply_f", {"prop-asymp-H"}),
+            (verify_asymp_shuffle, "zn_read_f", {"prop-asymp-shuffle"}),
+            (verify_asymp_dsr, "zn_read_f", {"thm-main"}),
+            (verify_asymp_h, "zn_read_f", {"prop-asymp-H"}),
             (verify_asymp_li, "_li_series", {"prop-asymp-Li"}),
         ],
     )
     def test_offset_float_evaluator_fails_every_rate_case(self, monkeypatch, campaign, evaluator, claims):
         original = getattr(num, evaluator)
+        flat = num._word_value_f(FAST.n_schedule[0], "flat")
 
         def shift(value):
             if isinstance(value, list):  # a grid
@@ -418,7 +440,7 @@ class TestSoundness:
         def offset(*args, **kwargs):
             value = original(*args, **kwargs)
             # prop-flat-natural subtracts its natural sums from its flat ones: only the natural side moves
-            return value if "flat" in args else shift(value)
+            return value if evaluator == "zn_read_f" and args[1][0] is flat else shift(value)
 
         monkeypatch.setattr(num, evaluator, offset)
         reports = [r for r in campaign(FAST) if r.claim_id in claims]
@@ -575,6 +597,78 @@ class TestWordTables:
     def test_warm_tables_give_the_bytes_of_a_cold_run(self, cold_tables, campaign):
         cold = [r.to_json() for r in campaign(FAST)]
         assert [r.to_json() for r in campaign(FAST)] == cold
+
+    _RATE_CAMPAIGNS = (verify_flat_natural, verify_asymp_shuffle, verify_asymp_dsr, verify_asymp_h)
+
+    @pytest.mark.parametrize("cfg", [FAST, replace(FAST, max_weight=3)], ids=["fast", "w3"])
+    def test_cases_read_the_floats_of_one_point_calls(self, monkeypatch, cold_tables, cfg):
+        """Every rate case's residuals equal those built from one-point zn_apply_f calls into cleared tables."""
+        seen = {}
+        rate_case = ver._rate_case
+
+        def spy(key, inputs, residuals, *args, **kwargs):
+            seen[key] = residuals = list(residuals)
+            return rate_case(key, inputs, residuals, *args, **kwargs)
+
+        monkeypatch.setattr(ver, "_rate_case", spy)
+        gamma, zetas = num.euler_gamma().value, {}
+
+        def residual(claim, inputs, n):
+            if claim in ("prop-flat-natural", "prop-asymp-H"):
+                k = Index.parse(inputs["index"])
+                x = LinComb.of_index(k)
+                if claim == "prop-flat-natural":
+                    return num.zn_apply_f(x, n, "flat") - num.zn_apply_f(x, n, "natural")
+                predicted = num.eval_reg_polynomial(ver.reg.z_star_polynomial(k), math.log(n) + gamma, zetas)
+                return num.zn_apply_f(x, n, "plain") - predicted.value
+            k, l = Index.parse(inputs["w1"]), Index.parse(inputs["w0"])
+            if claim == "thm-main":
+                return num.zn_apply_f(ver._defect(k, l), n, "plain")
+            x, y = LinComb.of_index(k), LinComb.of_index(l)
+            a, b, c = (num.zn_apply_f(z, n, "natural") for z in (x, y, ver.shuffle(x, y)))
+            return a * b - c
+
+        for campaign in self._RATE_CAMPAIGNS:
+            seen.clear()
+            (report,) = campaign(cfg)
+            num._word_value_f.cache_clear()
+            rate_cases = [c for c in report.cases if "fit" in c.detail]
+            assert rate_cases and len(seen) == len(rate_cases), report.claim_id
+            for case in rate_cases:
+                expected = [(n, residual(report.claim_id, case.inputs, n)) for n in cfg.n_schedule]
+                assert seen[case.key] == expected, (report.claim_id, case.key)
+
+    def test_cases_walk_nothing(self, monkeypatch, cold_tables):
+        """No float walk happens inside a case, and prop-asymp-shuffle forms its exact
+        decompositions, diagonal terms included, before its first case."""
+        walks = _float_walks(monkeypatch)
+        map_cases, diagonal_terms = ver._map_cases, ver.fs.diagonal_terms
+        log = []
+
+        def mapped(cfg, func, items):
+            log.append(("cases", len(walks)))
+            cases = map_cases(cfg, func, items)
+            log.append(("done", len(walks)))
+            return cases
+
+        monkeypatch.setattr(ver, "_map_cases", mapped)
+        monkeypatch.setattr(
+            ver.fs, "diagonal_terms", lambda k, l, n: log.append(("diagonal",)) or diagonal_terms(k, l, n)
+        )
+        for campaign in self._RATE_CAMPAIGNS:
+            num._word_value_f.cache_clear()
+            log.clear()
+            walked = len(walks)
+            (report,) = campaign(CampaignConfig())
+            assert report.cases
+            (start,) = [i for i, event in enumerate(log) if event[0] == "cases"]
+            assert log[start][1] > walked, report.claim_id  # the prologue walked
+            assert log[start + 1:] == [("done", log[start][1])], report.claim_id  # the cases did not
+            diagonals = log[:start]
+            if campaign is verify_asymp_shuffle:
+                assert diagonals == [("diagonal",)] * len(report.cases)
+            else:
+                assert not diagonals, report.claim_id
 
 
 class TestCatalog:
