@@ -3,24 +3,26 @@
 Each identity or estimate in the double-shuffle story is pinned to a claim id
 and an executable campaign; exact statements are checked with rational
 arithmetic, asymptotic ones through residual schedules and log-rate fits.
-Every campaign that reads finite sums evaluates them before its first
-case, and its cases only read, compare and fit.  thm-msw,
-fact-harmonic-product, prop-flat-natural, prop-asymp-shuffle, thm-main and
-prop-asymp-H build the combinations of all their cases first and walk the
-union of their words once per N (:func:`mzvkit.finite_sums.walk_words`,
+Every campaign forms every value its cases need before its first case, and
+its cases only read, compare and fit.  thm-msw, fact-harmonic-product,
+prop-flat-natural, prop-asymp-shuffle, thm-main and prop-asymp-H build the
+combinations of all their cases first and walk the union of their words
+once per N (:func:`mzvkit.finite_sums.walk_words`,
 :func:`mzvkit.numeric.walk_words_f`; thm-msw and prop-flat-natural once per
-variant).  The cases of thm-msw and fact-harmonic-product read those sums
-through the same ``zn_apply`` calls as a case on its own would.  The other
-four keep the tables that ``walk_words_f`` returns, and their cases read
-each combination from them through :func:`mzvkit.numeric.zn_read_f`, the
-read step of ``zn_apply_f``, so that no case walks or scans for missing
-words; prop-asymp-shuffle also checks the exact decomposition of every
-pair at its small N in its prologue, after its exact walk.  lemma-R walks the
-distinct chains of its three claims once per N
+variant).  thm-msw and fact-harmonic-product then form both sides of every
+case through ``zn_apply`` on the exact tables, and prop-asymp-shuffle the
+exact decomposition of every pair at its small N.  The four float
+campaigns keep the tables that ``walk_words_f`` returns, and their cases
+read each combination from them through :func:`mzvkit.numeric.zn_read_f`,
+the read step of ``zn_apply_f``, so that no case walks or scans for missing
+words.  lemma-R walks the distinct chains of its three claims once per N
 (:func:`mzvkit.numeric.walk_chains_f`), and prop-asymp-Li sums the
 polylogarithm series of all its indices in one pass over its z grid
-(:func:`mzvkit.numeric._li_series`).  Each passes ``started`` to
-:func:`_report`, so that the claim's time covers that work.
+(:func:`mzvkit.numeric._li_series`).  prop-asymp-H and prop-asymp-Li build
+every index's regularized polynomial and evaluate it at every point of
+their grid, and each EDSR claim regularizes and evaluates every defect, on
+its own side only.  Each passes ``started`` to :func:`_report`, so that the
+claim's time covers that work; sentinel cases run after the cases.
 Reports are canonical JSON: given the same configuration (seed included) two
 runs produce byte-identical files.  Wall-clock timing is therefore kept out
 of the serialized reports (the ``elapsedMs`` field is present but null) and
@@ -258,8 +260,8 @@ def _random_index(rng: random.Random, max_weight: int) -> Index:
 def verify_msw(cfg: CampaignConfig) -> list[Report]:
     """Exact equality of the plain and discretized truncated sums.
 
-    Every index's word takes one walk per N and variant before the first
-    case, and the cases read both sums from the exact tables."""
+    Every index's word takes one walk per N and variant, and both sums of
+    every (index, N) are read from the exact tables, before the first case."""
     started = time.perf_counter()
     n_values = [n for n in cfg.n_schedule if n <= MSW_N_CAP]  # none: the claim fails with 0 cases
     indices = [(k, LinComb.of_index(k)) for w in range(1, cfg.msw_max_weight + 1) for k in indices_of_weight(w)]
@@ -267,19 +269,21 @@ def verify_msw(cfg: CampaignConfig) -> list[Report]:
     for n in n_values:
         for variant in ("plain", "flat"):
             fs.walk_words(words, n, variant)
-    items = [(k, x, n) for k, x in indices for n in n_values]
+    items = [(k, n, fs.zn_apply(x, n, "plain"), fs.zn_apply(x, n, "flat")) for k, x in indices for n in n_values]
 
-    def check(item: tuple[Index, LinComb, int]) -> Case:
-        k, x, n = item
-        inputs = {"index": str(k), "N": n}
-        return _exact_case(f"k=({k});N={n:06d}", inputs, fs.zn_apply(x, n, "plain"), fs.zn_apply(x, n, "flat"))
+    def check(item: tuple[Index, int, Fraction, Fraction]) -> Case:
+        k, n, plain, flat = item
+        return _exact_case(f"k=({k});N={n:06d}", {"index": str(k), "N": n}, plain, flat)
 
     params = {"maxWeight": cfg.msw_max_weight, "nValues": n_values, "indexCount": len(indices)}
     return [_report(cfg, "thm-msw", params, check, items, started=started)]
 
 
 def verify_harmonic(cfg: CampaignConfig) -> list[Report]:
-    """Exact multiplicativity of the truncated evaluation under the harmonic product."""
+    """Exact multiplicativity of the truncated evaluation under the harmonic product.
+
+    The words of every pair take one walk, and both sides of every pair are
+    read from the exact table, before the first case."""
     started = time.perf_counter()
     rng = random.Random(cfg.seed)
     pairs = [(Index(()), Index((2,))), (Index((2,)), Index((2,)))]
@@ -289,16 +293,16 @@ def verify_harmonic(cfg: CampaignConfig) -> list[Report]:
     for i, (k1, k2) in enumerate(pairs):
         x, y = LinComb.of_index(k1), LinComb.of_index(k2)
         items.append((i, k1, k2, (harmonic(x, y), x, y)))
-    fs.walk_words(_words(z for *_, combos in items for z in combos), cfg.harmonic_n)
+    n = cfg.harmonic_n
+    fs.walk_words(_words(z for *_, combos in items for z in combos), n)
+    sides = [(i, k1, k2, fs.zn_apply(p, n), fs.zn_apply(x, n) * fs.zn_apply(y, n)) for i, k1, k2, (p, x, y) in items]
 
-    def check(item: tuple[int, Index, Index, tuple[LinComb, LinComb, LinComb]]) -> Case:
-        i, k1, k2, (product, x, y) = item
-        lhs = fs.zn_apply(product, cfg.harmonic_n)
-        rhs = fs.zn_apply(x, cfg.harmonic_n) * fs.zn_apply(y, cfg.harmonic_n)
-        return _exact_case(f"pair{i:03d}", {"k1": str(k1), "k2": str(k2), "N": cfg.harmonic_n}, lhs, rhs)
+    def check(item: tuple[int, Index, Index, Fraction, Fraction]) -> Case:
+        i, k1, k2, lhs, rhs = item
+        return _exact_case(f"pair{i:03d}", {"k1": str(k1), "k2": str(k2), "N": n}, lhs, rhs)
 
     params = {"pairs": len(pairs), "pairWeight": cfg.harmonic_weight, "N": cfg.harmonic_n, "seed": cfg.seed}
-    return [_report(cfg, "fact-harmonic-product", params, check, items, started=started)]
+    return [_report(cfg, "fact-harmonic-product", params, check, sides, started=started)]
 
 
 def verify_flat_natural(cfg: CampaignConfig) -> list[Report]:
@@ -452,22 +456,26 @@ def verify_asymp_dsr(cfg: CampaignConfig) -> list[Report]:
 
 
 def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
-    """Truncated sums follow the harmonic regularized polynomial at log N + gamma."""
+    """Truncated sums follow the harmonic regularized polynomial at log N + gamma.
+
+    Every index's polynomial is built and evaluated at every log N + gamma
+    before the first case, and the cases read the sums of the campaign's walk."""
     started = time.perf_counter()
     gamma = num.euler_gamma().value
     items = [(k, LinComb.of_index(k)) for k in indices_up_to_weight(cfg.max_weight, include_empty=True)]
     tables = num.walk_words_f(_words(x for _, x in items), cfg.n_schedule, "plain")
     zetas: dict[Word, num.Real] = {}
-
-    def check(item: tuple[Index, LinComb]) -> Case:
-        k, x = item
+    points = [math.log(n) + gamma for n in cfg.n_schedule]
+    cases = []
+    for k, x in items:
         poly = reg.z_star_polynomial(k)
+        cases.append((k, x, poly.degree, [num.eval_reg_polynomial(poly, t, zetas).value for t in points]))
+
+    def check(item: tuple[Index, LinComb, int, list[float]]) -> Case:
+        k, x, degree, predicted = item
         values = num.zn_read_f(x, tables)
-        residuals = [
-            (n, value - num.eval_reg_polynomial(poly, math.log(n) + gamma, zetas).value)
-            for n, value in zip(cfg.n_schedule, values)
-        ]
-        return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=poly.degree)
+        residuals = [(n, value - p) for n, value, p in zip(cfg.n_schedule, values, predicted)]
+        return _rate_case(f"k=({k})", {"index": str(k)}, residuals, k.weight + 1, polynomialDegree=degree)
 
     def sentinel() -> list[Case]:
         # H_{N-1} - log N - gamma stays below 1/N over six decades
@@ -482,14 +490,16 @@ def verify_asymp_h(cfg: CampaignConfig) -> list[Report]:
             )
         ]
 
-    return [_report(cfg, "prop-asymp-H", _rate_params(cfg), check, items, sentinel, started=started)]
+    return [_report(cfg, "prop-asymp-H", _rate_params(cfg), check, cases, sentinel, started=started)]
 
 
 def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     """Polylogarithms follow the shuffle regularized polynomial at -log(1-z).
 
     One pass of the series serves every index at every point of the z grid,
-    before the first case; an index whose series is capped fails its case."""
+    and every index's polynomial is evaluated at every -log(1-z), before the
+    first case; an index whose series is capped gets no prediction and fails
+    its case."""
     started = time.perf_counter()
     # a schedule with fewer than five powers of two fails every case's rate fit
     exponents = [e for e in range(2, 31) if (1 << e) in cfg.n_schedule]
@@ -497,21 +507,25 @@ def verify_asymp_li(cfg: CampaignConfig) -> list[Report]:
     indices = indices_up_to_weight(cfg.max_weight, include_empty=True)
     series = num._li_series([k.parts for k in indices], zs, LI_TOL)
     zetas: dict[Word, num.Real] = {}
-
-    def check(k: Index) -> Case:
+    points = [-math.log1p(-z) for z in zs]
+    items = []
+    for k in indices:
         poly = reg.z_shuffle_polynomial(k)
-        key, inputs = f"k=({k})", {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
         observed = series[k.parts]
-        if isinstance(observed, CapExceededError):
-            return Case(key, inputs, False, {"error": str(observed), "polynomialDegree": poly.degree})
-        residuals = []
-        for e, z, value in zip(exponents, zs, observed):
-            predicted = num.eval_reg_polynomial(poly, -math.log1p(-z), zetas)
-            residuals.append((1 << e, value.value - predicted.value))
-        return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=poly.degree)
+        capped = isinstance(observed, CapExceededError)
+        predicted = None if capped else [num.eval_reg_polynomial(poly, t, zetas).value for t in points]
+        items.append((k, poly.degree, observed, predicted))
+
+    def check(item: tuple[Index, int, list[num.Real] | CapExceededError, list[float] | None]) -> Case:
+        k, degree, observed, predicted = item
+        key, inputs = f"k=({k})", {"index": str(k), "zGrid": [f"1-2^-{e}" for e in exponents]}
+        if predicted is None:
+            return Case(key, inputs, False, {"error": str(observed), "polynomialDegree": degree})
+        residuals = [(1 << e, value.value - p) for e, value, p in zip(exponents, observed, predicted)]
+        return _rate_case(key, inputs, residuals, k.weight + 1, polynomialDegree=degree)
 
     params = {"maxWeight": cfg.max_weight, "zExponents": exponents, "slack": num.RATE_SLACK, "liTol": LI_TOL}
-    return [_report(cfg, "prop-asymp-Li", params, check, indices, started=started)]
+    return [_report(cfg, "prop-asymp-Li", params, check, items, started=started)]
 
 
 # each claim's regularization, named in ``reg`` so that a rebound one is called
@@ -525,32 +539,37 @@ def verify_edsr(cfg: CampaignConfig, claims: Sequence[str] = tuple(EDSR_SIDES)) 
     ``|value| <= errorBound``, the certified bound of
     :func:`mzvkit.numeric.eval_reg_polynomial` on the defect as a constant.
     ``claims`` picks the sides to check, so that one claim computes only its
-    own.  Each pair's defect is built once, before the first claim.
+    own.  Each pair's defect is built once, before the first claim, and each
+    claim regularizes and evaluates every defect before its first case; its
+    time covers that work.
     """
-    started: float | None = time.perf_counter()
+    started = time.perf_counter()
     lefts = indices_up_to_weight(cfg.max_weight, include_empty=True)
     rights = admissible_indices_up_to(cfg.max_weight, include_empty=True)
     items = [(k, l, _defect(k, l)) for k in lefts for l in rights]
 
-    def check(item: tuple[Callable[[LinComb], LinComb], Index, Index, LinComb]) -> Case:
-        regularize, k, l, diff = item
-        regularized = regularize(diff)
-        z = num.eval_reg_polynomial(reg.RegPolynomial.constant(regularized), 0.0, zetas)
+    def check(item: tuple[Index, Index, int, num.Real]) -> Case:
+        k, l, terms, z = item
         residual = abs(z.value)
         return Case(
             key=f"w1=({k});w0=({l})",
             inputs={"w1": str(k), "w0": str(l)},
             passed=residual <= z.error_bound,
-            detail={"residual": residual, "errorBound": z.error_bound, "terms": len(regularized)},
+            detail={"residual": residual, "errorBound": z.error_bound, "terms": terms},
         )
 
     zetas: dict[Word, num.Real] = {}
     params = {"maxWeight": cfg.max_weight, "mzvTol": num.DEFAULT_MZV_TOL}
     reports = []
     for claim_id in claims:
-        side = [(getattr(reg, EDSR_SIDES[claim_id]), *item) for item in items]
+        regularize = getattr(reg, EDSR_SIDES[claim_id])
+        side = []
+        for k, l, diff in items:
+            regularized = regularize(diff)
+            z = num.eval_reg_polynomial(reg.RegPolynomial.constant(regularized), 0.0, zetas)
+            side.append((k, l, len(regularized), z))
         reports.append(_report(cfg, claim_id, params, check, side, started=started))
-        started = None  # the first claim's time covers the defects
+        started = time.perf_counter()  # the next claim's time covers its own side
     return reports
 
 

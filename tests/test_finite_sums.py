@@ -68,6 +68,13 @@ class TestPlainSums:
         values = [zeta_lt(idx(1, 2), n) for n in range(1, 30)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_step_equation(self):
+        # the terms of zeta_<N+1(k) with n_r = N: the recursion that the regularized polynomials follow
+        for k in indices_up_to_weight(5):
+            for n in (1, 2, 3, 7, 16):
+                step = zeta_lt(k, n + 1) - zeta_lt(k, n)
+                assert step == Fraction(1, n ** k.parts[-1]) * zeta_lt(Index(k.parts[:-1]), n), (k, n)
+
     def test_n_validation(self):
         with pytest.raises(DomainError):
             zeta_lt(idx(2), 0)

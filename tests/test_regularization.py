@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mzvkit.algebra as algebra
 import mzvkit.regularization as reg
-from mzvkit.algebra import EMPTY_WORD, Index, LinComb, Word, harmonic, shuffle, word_of_index
+from mzvkit.algebra import EMPTY_WORD, Index, LinComb, Word, harmonic, indices_up_to_weight, shuffle, word_of_index
 from mzvkit.errors import DomainError
 from mzvkit.numeric import mzv, zeta_lt_f
 from mzvkit.regularization import (
@@ -166,6 +166,19 @@ class TestDecompositionLaws:
         for decompose in (star_decompose, shuffle_decompose):
             for c in decompose(LinComb.of_index(k)).coeffs:
                 assert c.in_h0
+
+    # zeta_<N+1(k) - zeta_<N(k) = N^-k_r zeta_<N(k-), k- being k less its last part, and
+    # d/dz Li_k(z) = Li_k-(z) / (1 - z) when k_r = 1; at T = log N + gamma or -log(1 - z),
+    # a last part 1 makes d/dT P_k = P_k-, and a last part >= 2 a convergent sum, P_k constant
+    @pytest.mark.parametrize("polynomial", [z_star_polynomial, z_shuffle_polynomial])
+    def test_step_equation_up_to_weight_eight(self, polynomial):
+        for k in indices_up_to_weight(8, include_empty=True):
+            p = polynomial(k)
+            if k.parts and k.parts[-1] == 1:
+                derivative = RegPolynomial(tuple(p.coeff(i + 1) * (i + 1) for i in range(p.degree)))
+                assert derivative == polynomial(Index(k.parts[:-1])), k
+            else:
+                assert p.degree == 0, k
 
     def test_homomorphism_both_products(self):
         rng = random.Random(7)

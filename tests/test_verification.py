@@ -164,13 +164,24 @@ class TestCampaignsPass:
         (report,) = verify_asymp_shuffle(FAST)
         assert calls and report.elapsed_ms >= 50
 
-    # each campaign evaluates before its first case; the first call here is that prologue
+    # each campaign evaluates before its first case; the first call here is that prologue,
+    # and the claim named is the one whose prologue makes it (thm-edsr-sh's side comes second)
     @pytest.mark.parametrize(
-        "campaign, prologue",
-        [(verify_flat_natural, "walk_words_f"), (verify_lemma_r, "walk_chains_f"), (verify_asymp_li, "_li_series")],
+        "campaign, module, prologue, claim",
+        [
+            pytest.param(campaign, module, prologue, claim, id=f"{campaign.__name__}-{prologue}")
+            for campaign, module, prologue, claim in [
+                (verify_flat_natural, num, "walk_words_f", "prop-flat-natural"),
+                (verify_lemma_r, num, "walk_chains_f", "lemma-R-i"),
+                (verify_asymp_li, num, "_li_series", "prop-asymp-Li"),
+                (verify_asymp_h, ver.reg, "z_star_polynomial", "prop-asymp-H"),
+                (verify_harmonic, ver.fs, "zn_apply", "fact-harmonic-product"),
+                (verify_edsr, ver.reg, "reg_shuffle", "thm-edsr-sh"),
+            ]
+        ],
     )
-    def test_claim_time_covers_the_prologue(self, monkeypatch, cold_tables, campaign, prologue):
-        original = getattr(num, prologue)
+    def test_claim_time_covers_the_prologue(self, monkeypatch, cold_tables, campaign, module, prologue, claim):
+        original = getattr(module, prologue)
         calls = []
 
         def slow(*args):
@@ -179,9 +190,9 @@ class TestCampaignsPass:
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(num, prologue, slow)
-        first, *_ = campaign(FAST)
-        assert calls and first.elapsed_ms >= 50
+        monkeypatch.setattr(module, prologue, slow)
+        (report,) = [r for r in campaign(FAST) if r.claim_id == claim]
+        assert calls and report.elapsed_ms >= 50
 
     def test_asymp_li(self):
         (report,) = verify_asymp_li(FAST)
@@ -638,11 +649,32 @@ class TestWordTables:
                 expected = [(n, residual(report.claim_id, case.inputs, n)) for n in cfg.n_schedule]
                 assert seen[case.key] == expected, (report.claim_id, case.key)
 
+    # the evaluators a case could call, by module; ``ver`` holds the word products the campaigns take
+    _EVALUATORS = (
+        (num, ("mzv", "eval_reg_polynomial", "walk_words_f", "walk_chains_f", "_li_series")),
+        (ver.reg, ("reg_star", "reg_shuffle", "z_star_polynomial", "z_shuffle_polynomial")),
+        (ver.fs, ("zn_apply", "walk_words", "diagonal_terms")),
+        (ver, ("harmonic", "shuffle")),
+    )
+    # the evaluators that each campaign calls before its first case, at FAST and at the defaults alike
+    _PROLOGUES = {
+        "msw": {"walk_words", "zn_apply"},
+        "harmonic": {"harmonic", "walk_words", "zn_apply"},
+        "flat-natural": {"walk_words_f"},
+        "lemma-r": {"walk_chains_f"},
+        "asymp-shuffle": {"shuffle", "walk_words_f", "walk_words", "zn_apply", "diagonal_terms"},
+        "asymp-dsr": {"harmonic", "shuffle", "walk_words_f"},
+        "asymp-h": {"walk_words_f", "z_star_polynomial", "eval_reg_polynomial", "mzv"},
+        "asymp-li": {"_li_series", "z_shuffle_polynomial", "eval_reg_polynomial", "mzv"},
+        "edsr": {"harmonic", "shuffle", "reg_star", "eval_reg_polynomial", "mzv"},
+    }
+
     def test_cases_walk_nothing(self, monkeypatch, cold_tables):
-        """No float walk happens inside a case, and prop-asymp-shuffle forms its exact
-        decompositions, diagonal terms included, before its first case."""
+        """No case of any campaign walks or evaluates: each claim calls its evaluators
+        before its first case, and the sentinels after its cases.  prop-asymp-shuffle
+        forms its exact decompositions, diagonal terms included, before its first case."""
         walks = _float_walks(monkeypatch)
-        map_cases, diagonal_terms = ver._map_cases, ver.fs.diagonal_terms
+        map_cases = ver._map_cases
         log = []
 
         def mapped(cfg, func, items):
@@ -651,24 +683,30 @@ class TestWordTables:
             log.append(("done", len(walks)))
             return cases
 
+        def spy(name, original):
+            return lambda *args, **kwargs: log.append((name,)) or original(*args, **kwargs)
+
         monkeypatch.setattr(ver, "_map_cases", mapped)
-        monkeypatch.setattr(
-            ver.fs, "diagonal_terms", lambda k, l, n: log.append(("diagonal",)) or diagonal_terms(k, l, n)
-        )
-        for campaign in self._RATE_CAMPAIGNS:
-            num._word_value_f.cache_clear()
-            log.clear()
-            walked = len(walks)
-            (report,) = campaign(CampaignConfig())
-            assert report.cases
-            (start,) = [i for i, event in enumerate(log) if event[0] == "cases"]
-            assert log[start][1] > walked, report.claim_id  # the prologue walked
-            assert log[start + 1:] == [("done", log[start][1])], report.claim_id  # the cases did not
-            diagonals = log[:start]
-            if campaign is verify_asymp_shuffle:
-                assert diagonals == [("diagonal",)] * len(report.cases)
-            else:
-                assert not diagonals, report.claim_id
+        for module, names in self._EVALUATORS:
+            for name in names:
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for cfg in (FAST, CampaignConfig()):
+            for name, campaign, claims in CAMPAIGNS:
+                num._word_value_f.cache_clear()
+                log.clear()
+                walked = len(walks)
+                reports = campaign(cfg)
+                assert [r.claim_id for r in reports] == list(claims) and all(r.cases for r in reports), name
+                starts = [i for i, event in enumerate(log) if event[0] == "cases"]
+                assert len(starts) == len(claims), name
+                for i in starts:  # the cases walked and evaluated nothing
+                    assert log[i + 1] == ("done", log[i][1]), (name, cfg.max_weight, log[i + 1])
+                prologue = log[: starts[0]]
+                assert {event[0] for event in prologue} == self._PROLOGUES[name], (name, cfg.max_weight)
+                if campaign in self._RATE_CAMPAIGNS:
+                    assert log[starts[0]][1] > walked, name  # the prologue walked
+                diagonals = len(reports[0].cases) if campaign is verify_asymp_shuffle else 0
+                assert prologue.count(("diagonal_terms",)) == log.count(("diagonal_terms",)) == diagonals, name
 
 
 class TestCatalog:
